@@ -24,7 +24,7 @@ func TestHTTPAnytimePrepare(t *testing.T) {
 
 	s := serve.New(serve.Options{Workers: 2, RefineLadder: []float64{0.5, 0.1}})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 
 	status, body := httpPost(t, ts.URL+"/prepare",

@@ -28,7 +28,7 @@ func TestPlanSetEndpoint(t *testing.T) {
 	}
 	a := serve.New(serve.Options{Workers: 1, Index: true, Shared: shared})
 	defer a.Close()
-	tsA := httptest.NewServer(newHandler(a))
+	tsA := httptest.NewServer(newMux(a))
 	defer tsA.Close()
 
 	resp, err := http.Post(tsA.URL+"/prepare", "application/json", strings.NewReader(prepareLine))
@@ -86,7 +86,7 @@ func TestPlanSetEndpoint(t *testing.T) {
 		Peers: fleet.NewPeerClient([]string{tsA.URL}, 0),
 	})
 	defer b.Close()
-	tsB := httptest.NewServer(newHandler(b))
+	tsB := httptest.NewServer(newMux(b))
 	defer tsB.Close()
 	resp, err = http.Post(tsB.URL+"/prepare", "application/json", strings.NewReader(prepareLine))
 	if err != nil {

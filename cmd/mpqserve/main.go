@@ -3,6 +3,15 @@
 // Clients prepare query templates (optimize once, persist, cache) and
 // pick plans for concrete parameter values and preference policies.
 //
+// -shared-dir is the one persistence directory: every prepared plan set
+// is published to a hash-checked plan-set store there (fleet.DirStore),
+// and a Prepare or reload consults it before optimizing. Pointed at a
+// directory private to one server, it makes plan sets survive
+// restarts; pointed at a directory shared by a fleet, each template is
+// computed once per fleet. A stored document that fails its hash check
+// is quarantined and recomputed, never served. Without -shared-dir
+// plan sets live in memory only.
+//
 // Two transports share one JSON protocol:
 //
 //	mpqserve -addr :8080        # JSON over HTTP
@@ -48,9 +57,9 @@
 //
 // Fleet deployment: -cache-bytes bounds the in-memory plan-set cache
 // (size-aware LRU; evicted sets reload transparently), -shared-dir
-// points a fleet of mpqserve processes at one shared on-disk plan-set
-// store so each template is computed once per fleet, and -peers lists
-// sibling servers to fetch prepared documents from before computing.
+// points a fleet of mpqserve processes at one plan-set store, and
+// -peers lists sibling servers to fetch prepared documents from before
+// computing.
 // -prepare-max caps concurrently optimizing Prepares; -donate lends
 // idle pool workers to in-flight Prepares' split jobs.
 //
@@ -108,10 +117,9 @@ func main() {
 		stdin      = flag.Bool("stdin", false, "serve the line protocol on stdin instead of HTTP")
 		workers    = flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "request queue depth (0 = 8×workers)")
-		dir        = flag.String("dir", "", "directory persisting prepared plan sets across restarts")
 		useIdx     = flag.Bool("index", true, "build a point-location pick index per prepared plan set")
 		cacheBytes = flag.Int64("cache-bytes", 0, "in-memory plan-set cache budget in bytes (0 = unbounded)")
-		sharedDir  = flag.String("shared-dir", "", "shared plan-set store directory for a fleet of servers")
+		sharedDir  = flag.String("shared-dir", "", "hash-checked plan-set store directory: the one persistence path (private to one server for restarts, or shared by a fleet; empty = memory only)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs to fetch prepared plan sets from")
 		prepMax    = flag.Int("prepare-max", 0, "max concurrently optimizing Prepares (0 = no cap)")
 		donate     = flag.Bool("donate", true, "donate idle pool workers to in-flight Prepares' split jobs")
@@ -140,7 +148,7 @@ func main() {
 	defer stop()
 
 	opts := serve.Options{
-		Workers: *workers, QueueDepth: *queue, Dir: *dir, Index: *useIdx,
+		Workers: *workers, QueueDepth: *queue, Index: *useIdx,
 		CacheBytes:            *cacheBytes,
 		MaxConcurrentPrepares: *prepMax,
 		DonateWorkers:         *donate,
@@ -561,12 +569,6 @@ func newMux(s *serve.Server) *http.ServeMux {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	return mux
-}
-
-// newHandler is newMux as an http.Handler (transport tests exercise
-// the API surface without the observability endpoints).
-func newHandler(s *serve.Server) http.Handler {
-	return newMux(s)
 }
 
 func statusOf(err error) int {

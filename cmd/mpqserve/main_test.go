@@ -19,7 +19,7 @@ const prepareLine = `{"workload":{"tables":4,"params":1,"shape":"chain","seed":2
 func TestHTTPProtocol(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 2})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 
 	post := func(path, body string) (int, []byte) {
@@ -117,7 +117,7 @@ func TestHTTPProtocol(t *testing.T) {
 func TestHTTPPickBatch(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 2, Index: true})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 
 	post := func(path, body string) (int, []byte) {
@@ -256,7 +256,7 @@ func TestStdinProtocol(t *testing.T) {
 func TestHTTPEpsilonTiers(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 2})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 
 	post := func(body string) (int, []byte) {

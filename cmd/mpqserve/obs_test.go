@@ -223,7 +223,7 @@ func TestAccessLogHTTP(t *testing.T) {
 
 	s := serve.New(serve.Options{Workers: 1})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 
 	status, body := httpPost(t, ts.URL+"/prepare", prepareLine)
@@ -309,7 +309,7 @@ func TestNilAccessLogIsSilent(t *testing.T) {
 	accessLog = nil
 	s := serve.New(serve.Options{Workers: 1})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 	if status, body := httpPost(t, ts.URL+"/prepare", prepareLine); status != http.StatusOK {
 		t.Fatalf("prepare: %d %s", status, body)

@@ -119,7 +119,7 @@ func TestStdinProtocolResilience(t *testing.T) {
 func TestHTTPDeadlines(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 2})
 	defer s.Close()
-	ts := httptest.NewServer(newHandler(s))
+	ts := httptest.NewServer(newMux(s))
 	defer ts.Close()
 
 	post := func(body string) (int, errorJS) {

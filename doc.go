@@ -57,12 +57,15 @@
 // cache counters, the optimizer pipeline's behavior across all
 // Prepares: PipelineBusy/PipelineCapacity/PipelineUtilization (mean
 // worker utilization of the dependency scheduler) and SplitJobs
-// (table sets planned with intra-mask split parallelism).
+// (table sets planned with intra-mask split parallelism). Plan sets
+// reach disk only through ServeOptions.Shared: a store from
+// NewSharedDirStore over a directory private to one server persists
+// them across restarts, hash-checked on every read.
 //
 // With ServeOptions.Index, Prepare additionally builds a
 // point-location pick index over the plan set's parameter space (a
 // kd-tree style cell decomposition, persisted with the plan set as the
-// store's v3 index stanza) so each pick scans only the candidates
+// store's index stanza) so each pick scans only the candidates
 // relevant in the query point's cell — byte-identical to the full
 // linear scan, which remains the verified fallback. High pick rates
 // batch through PickBatch, which sorts the points into index cells and

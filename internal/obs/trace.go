@@ -27,7 +27,7 @@ type TraceEvent struct {
 	Op string `json:"op"`
 	// Key is the plan-set key the request resolved to.
 	Key string `json:"key"`
-	// Source reports where the document came from: "computed", "disk",
+	// Source reports where the document came from: "computed",
 	// "shared", "peer" — or "error" when the flight failed.
 	Source string `json:"source"`
 	// Error carries the failure message of an "error" event.

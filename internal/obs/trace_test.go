@@ -17,7 +17,7 @@ func TestNilTraceRingIsNoOp(t *testing.T) {
 	}
 	// Every method must tolerate the nil receiver.
 	tr.Phase("lookup")
-	tr.SetSource("disk")
+	tr.SetSource("peer")
 	tr.Finish(nil)
 	r.Instrument(NewRegistry())
 	if ev := r.Events(); ev != nil {
@@ -34,7 +34,7 @@ func TestTraceRingRecordsPhasesAndEvicts(t *testing.T) {
 		tr := r.Start("prepare", key)
 		tr.Phase("lookup")
 		tr.Phase("optimize")
-		tr.SetSource("disk")
+		tr.SetSource("peer")
 		tr.Finish(nil)
 	}
 	ev := r.Events()
@@ -48,7 +48,7 @@ func TestTraceRingRecordsPhasesAndEvicts(t *testing.T) {
 		t.Fatalf("Total = %d, want 3", r.Total())
 	}
 	got := ev[1]
-	if got.Op != "prepare" || got.Source != "disk" || got.Error != "" {
+	if got.Op != "prepare" || got.Source != "peer" || got.Error != "" {
 		t.Fatalf("event = %+v", got)
 	}
 	if len(got.Phases) != 2 || got.Phases[0].Name != "lookup" || got.Phases[1].Name != "optimize" {

@@ -253,7 +253,9 @@ func TestFleetChaos(t *testing.T) {
 	t.Logf("picks: %d succeeded, %d failed (allowed kinds)", successes.Load(), failures.Load())
 
 	// Peers came back up: a fresh pick on every server must succeed
-	// (bounded retries through residual injected store errors).
+	// (bounded retries through residual injected store errors). A failed
+	// attempt waits out the breaker cooldown, so a breaker the killer
+	// left open gets its half-open probe before the next attempt.
 	for si, s := range servers {
 		for ti := range templates {
 			var err error
@@ -264,6 +266,7 @@ func TestFleetChaos(t *testing.T) {
 				if err == nil {
 					break
 				}
+				time.Sleep(peerOpts.BreakerCooldown)
 			}
 			if err != nil {
 				t.Errorf("server %d never recovered for template %d: %v", si, ti, err)

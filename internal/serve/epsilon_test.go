@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"mpq/internal/fleet"
@@ -87,20 +86,20 @@ func TestEpsilonTiersCoexist(t *testing.T) {
 func TestEpsilonTierMismatchIsComputeNotWrongAnswer(t *testing.T) {
 	// Compute the ε-tier document in a throwaway server.
 	dirA := t.TempDir()
-	a := New(Options{Workers: 1, Index: true, Dir: dirA})
+	a := New(Options{Workers: 1, Index: true, Shared: dirStore(t, dirA)})
 	approx, err := a.Prepare(context.Background(), epsTemplate(21, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	epsDoc, err := os.ReadFile(a.docPath(approx.Key))
 	a.Close()
-	if err != nil {
-		t.Fatal(err)
+	epsDoc, ok, err := dirStore(t, dirA).Get(approx.Key)
+	if !ok || err != nil {
+		t.Fatalf("persisted ε-tier document: ok=%v, err=%v", ok, err)
 	}
 
-	// Plant it under the exact tier's key in a fresh server's Dir.
-	dirB := t.TempDir()
-	b := New(Options{Workers: 1, Index: true, Dir: dirB})
+	// Plant it under the exact tier's key in a fresh server's store.
+	storeB := dirStore(t, t.TempDir())
+	b := New(Options{Workers: 1, Index: true, Shared: storeB})
 	defer b.Close()
 	exactKey, err := b.Key(epsTemplate(21, 0))
 	if err != nil {
@@ -109,7 +108,7 @@ func TestEpsilonTierMismatchIsComputeNotWrongAnswer(t *testing.T) {
 	if exactKey == approx.Key {
 		t.Fatal("tiers unexpectedly share a key")
 	}
-	if err := os.WriteFile(b.docPath(exactKey), epsDoc, 0o666); err != nil {
+	if err := storeB.Put(exactKey, epsDoc); err != nil {
 		t.Fatal(err)
 	}
 

@@ -357,7 +357,7 @@ func TestFleetStress(t *testing.T) {
 			t.Errorf("server %d leaked %d pins", si, st.Cache.Pinned)
 		}
 		sharedHits += st.SharedHits
-		computes += st.Prepares - st.PrepareHits - st.SharedHits - st.PrepareDiskHits - st.PeerHits
+		computes += st.Prepares - st.PrepareHits - st.SharedHits - st.PeerHits
 	}
 	if sharedHits == 0 {
 		t.Error("fleet recorded no shared-store hits")
@@ -383,7 +383,8 @@ func TestFleetStress(t *testing.T) {
 // filesystem path or a peer URL.
 func TestMalformedKeysNeverReachSources(t *testing.T) {
 	dir := t.TempDir()
-	// Plant a decoy where a traversal through Options.Dir would land.
+	// Plant a decoy where a traversal through the store's directory
+	// would land.
 	if err := os.WriteFile(filepath.Join(dir, "secret.json"), []byte(`{"v":1}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestMalformedKeysNeverReachSources(t *testing.T) {
 	if err := os.MkdirAll(sub, 0o777); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Workers: 1, Dir: sub})
+	s := New(Options{Workers: 1, Shared: dirStore(t, sub)})
 	defer s.Close()
 	for _, key := range []string{"../secret", "..%2Fsecret", "", "UPPERCASE00000000000000000000000", "short"} {
 		if _, err := s.Document(key); !errors.Is(err, ErrUnknownPlanSet) {

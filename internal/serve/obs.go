@@ -38,8 +38,6 @@ var statMetrics = []statMetric{
 		func(st *Stats) float64 { return float64(st.Prepares) }},
 	{"PrepareHits", "mpq_prepare_hits_total", "Prepares served from the in-memory cache or a deduplicated flight.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.PrepareHits) }},
-	{"PrepareDiskHits", "mpq_prepare_disk_hits_total", "Documents loaded from the persistence directory.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.PrepareDiskHits) }},
 	{"Picks", "mpq_picks_total", "Completed pick points (one per Pick, one per PickBatch point).", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.Picks) }},
 	{"Rejected", "mpq_rejected_total", "Requests refused with a full queue (backpressure).", obs.KindCounter,
@@ -99,6 +97,8 @@ var statMetrics = []statMetric{
 		func(st *Stats) float64 { return float64(st.PeerHits) }},
 	{"SharedPuts", "mpq_shared_puts_total", "Documents this server published to the shared store.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.SharedPuts) }},
+	{"SharedPutErrors", "mpq_shared_put_errors_total", "Shared-store publications that failed (best-effort; the request was answered).", obs.KindCounter,
+		func(st *Stats) float64 { return float64(st.SharedPutErrors) }},
 	{"Reloads", "mpq_reloads_total", "Evicted plan sets transparently reloaded at pick time.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.Reloads) }},
 	{"Cancellations", "mpq_cancellations_total", "Requests that ended with context.Canceled.", obs.KindCounter,

@@ -94,7 +94,7 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 
 	s := New(Options{
 		Workers:               2,
-		Dir:                   t.TempDir(),
+		Shared:                dirStore(t, t.TempDir()),
 		Index:                 true,
 		CacheBytes:            1 << 20,
 		MaxConcurrentPrepares: 1,

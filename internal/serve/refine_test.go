@@ -370,7 +370,7 @@ func TestRefinedDocumentMatchesExactBytes(t *testing.T) {
 	tpl := testTemplate(21)
 	w := poolWorkers(t)
 
-	a := New(Options{Workers: w, Dir: t.TempDir(), RefineLadder: []float64{0.5, 0.1}, DonateWorkers: true})
+	a := New(Options{Workers: w, Shared: dirStore(t, t.TempDir()), RefineLadder: []float64{0.5, 0.1}, DonateWorkers: true})
 	defer a.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	res, err := a.Prepare(ctx, tpl)
@@ -391,7 +391,7 @@ func TestRefinedDocumentMatchesExactBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := New(Options{Workers: w, Dir: t.TempDir()})
+	b := New(Options{Workers: w, Shared: dirStore(t, t.TempDir())})
 	defer b.Close()
 	exact, err := b.Prepare(context.Background(), tpl)
 	if err != nil {

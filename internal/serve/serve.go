@@ -14,6 +14,12 @@
 // when the queue is full, requests fail fast with ErrQueueFull instead
 // of piling up. See DESIGN.md, "Serving layer".
 //
+// Plan sets reach disk only through Options.Shared: a fleet.DirStore
+// over a directory private to one server is its restart persistence,
+// and the same store over a directory shared by a fleet is the fleet's
+// shared store. Every document it serves is hash-checked against the
+// store's manifest, and a corrupt one is quarantined and recomputed.
+//
 // The fleet subsystem (mpq/internal/fleet) extends one server to a
 // fleet: Options.CacheBytes bounds the cache with size-aware LRU
 // eviction (evicted plan sets reload transparently at pick time),
@@ -31,9 +37,8 @@
 // regret-certified, and schedules background refinement through the
 // ladder down to the template's resolved factor; each finished
 // generation atomically replaces the previous one in the cache, the
-// persistence directory, the shared store, and the peer-visible
-// document endpoint. See DESIGN.md, "Anytime Prepare & generation
-// refinement".
+// shared store, and the peer-visible document endpoint. See DESIGN.md,
+// "Anytime Prepare & generation refinement".
 package serve
 
 import (
@@ -45,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -55,7 +59,6 @@ import (
 	"mpq/internal/catalog"
 	"mpq/internal/cloud"
 	"mpq/internal/core"
-	"mpq/internal/faultfs"
 	"mpq/internal/fleet"
 	"mpq/internal/geometry"
 	"mpq/internal/index"
@@ -100,14 +103,9 @@ type Options struct {
 	// Solver is the shared immutable geometry configuration of the
 	// pool; zero fields take the defaults.
 	Solver geometry.Config
-	// Dir, when non-empty, persists every prepared plan set as
-	// <key>.json in this directory and serves cache misses from it
-	// before optimizing — the embedded-SQL deployment model where plan
-	// sets survive server restarts.
-	Dir string
 	// Index enables the point-location pick index: Prepare builds one
 	// over each plan set's parameter space (persisted with the document
-	// as the store's v3 index stanza) and Picks resolve the candidate
+	// as the store's index stanza) and Picks resolve the candidate
 	// subset by cell lookup. Plan sets loaded without a persisted index
 	// are indexed on load. The full linear candidate scan remains the
 	// verified fallback — for servers with the knob off, and for points
@@ -122,15 +120,19 @@ type Options struct {
 	// index's footprint, and least-recently-used entries are evicted
 	// when the total exceeds the budget. Evicted plan sets are not
 	// forgotten — a Pick for an evicted key transparently reloads the
-	// document from Dir, the shared store, or a peer. Zero keeps the
+	// document from the shared store or a peer. Zero keeps the
 	// historical unbounded cache. Entries in use are pinned, so the
 	// resident total can transiently exceed the budget.
 	CacheBytes int64
-	// Shared, when non-nil, is the fleet's shared plan-set store:
-	// Prepare consults it (after the in-memory cache and Dir) before
-	// optimizing, and publishes every document it computes or fetches
-	// from a peer, so a fleet of servers over one store computes each
-	// template once. Close flushes it.
+	// Shared, when non-nil, is the plan-set store and the server's only
+	// persistence path: Prepare consults it (after the in-memory cache)
+	// before optimizing, and publishes every document it computes or
+	// fetches from a peer. A fleet.DirStore over a directory private to
+	// this server makes plan sets survive restarts (the embedded-SQL
+	// deployment model); over a directory shared by a fleet, each
+	// template is computed once per fleet. Publishing is best-effort: a
+	// failed Put is counted in Stats.SharedPutErrors and the answer is
+	// unaffected. Close flushes the store.
 	Shared fleet.SharedStore
 	// Peers, when non-nil, is consulted after Shared and before
 	// computing: sibling servers expose their prepared documents under
@@ -157,9 +159,9 @@ type Options struct {
 	// generation honors the (1+ε) contract), and refines through the
 	// remaining steps down to the template's resolved ε on a background
 	// executor; each finished generation atomically replaces the
-	// previous one in the cache, Dir, the shared store, and the
-	// peer-visible document. Prepares without a deadline compute the
-	// final generation directly. The ladder must be strictly descending
+	// previous one in the cache, the shared store, and the peer-visible
+	// document. Prepares without a deadline compute the final
+	// generation directly. The ladder must be strictly descending
 	// with every step in [0, 1); New panics on an invalid one (a
 	// configuration bug, caught at construction like an invalid listen
 	// address).
@@ -170,11 +172,6 @@ type Options struct {
 	// drains the refinement queue, exactly like Close. Nil defaults to
 	// an uncancellable root (refinement then stops only at Close).
 	BaseContext context.Context
-	// FS is the filesystem the Dir persistence reads and writes through
-	// (nil = the real one) — the fault-injection seam for crash and
-	// I/O-error tests. The shared store carries its own (see
-	// fleet.NewDirStoreFS).
-	FS faultfs.FS
 	// Trace, when non-nil, records every Prepare flight that reaches the
 	// load-or-optimize pipeline into the ring: per-phase timings
 	// (admission wait, queue wait, source lookup, optimize, index build,
@@ -233,8 +230,8 @@ type PrepareResult struct {
 	// NumPlans is the Pareto-plan-set size.
 	NumPlans int
 	// Cached reports whether the set was served without optimizing:
-	// from the in-memory cache, a persisted Options.Dir document, the
-	// shared store, or a peer.
+	// from the in-memory cache, the shared store (including a restarted
+	// server's own persisted documents), or a peer.
 	Cached bool
 	// Duration is the optimization time spent by this request (zero on
 	// cache hits).
@@ -315,12 +312,9 @@ type PickResult struct {
 // Stats is a snapshot of the server's counters.
 type Stats struct {
 	// Prepares counts completed Prepare requests; PrepareHits the
-	// subset served from the cache, PrepareDiskHits the documents
-	// loaded from Options.Dir (Prepare restarts and pick-time reloads
-	// alike).
-	Prepares        int64
-	PrepareHits     int64
-	PrepareDiskHits int64
+	// subset served from the cache.
+	Prepares    int64
+	PrepareHits int64
 	// Picks counts completed pick *points*: one per Pick request plus
 	// one per point of every PickBatch request (not one per batch).
 	Picks int64
@@ -337,12 +331,14 @@ type Stats struct {
 	// Admitted − evicted = resident at every quiescent point.
 	Cache fleet.CacheStats
 	// SharedHits counts documents served from Options.Shared (Prepare
-	// hits and pick-time reloads); PeerHits those fetched from
-	// Options.Peers; SharedPuts the documents this server published to
-	// the shared store.
-	SharedHits int64
-	PeerHits   int64
-	SharedPuts int64
+	// hits, restarts and pick-time reloads alike); PeerHits those
+	// fetched from Options.Peers; SharedPuts the documents this server
+	// published to the shared store, SharedPutErrors the publications
+	// that failed (best-effort: the request was answered regardless).
+	SharedHits      int64
+	PeerHits        int64
+	SharedPuts      int64
+	SharedPutErrors int64
 	// Reloads counts evicted plan sets transparently reloaded at pick
 	// time.
 	Reloads int64
@@ -450,7 +446,6 @@ type IndexStats struct {
 // with Close. All methods are safe for concurrent use.
 type Server struct {
 	opts      Options
-	fs        faultfs.FS
 	queue     chan *job
 	wg        sync.WaitGroup
 	cache     *fleet.Cache
@@ -589,13 +584,8 @@ func New(opts Options) *Server {
 		// worker's siblings are idle while its Prepare holds them off).
 		opts.IndexOptions.Workers = opts.Workers
 	}
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
 	s := &Server{
 		opts:      opts,
-		fs:        fsys,
 		queue:     make(chan *job, opts.QueueDepth),
 		cache:     fleet.NewCache(opts.CacheBytes),
 		admission: fleet.NewAdmission(opts.MaxConcurrentPrepares),
@@ -757,22 +747,17 @@ func (s *Server) retainDocs() bool {
 
 // Document returns the serialized plan-set document for a key — the
 // bytes a peer fetching through fleet.PlanSetPath receives. It serves
-// from the in-memory cache, the Options.Dir document, or the shared
-// store, and never computes or consults peers itself (peer chains
-// must not turn one fetch into a fleet-wide cascade). Keys that do
-// not have the planSetKey shape are unknown by construction — in
-// particular, a path-traversal "key" never reaches the filesystem.
+// from the in-memory cache or the shared store, and never computes or
+// consults peers itself (peer chains must not turn one fetch into a
+// fleet-wide cascade). Keys that do not have the planSetKey shape are
+// unknown by construction — in particular, a path-traversal "key"
+// never reaches the filesystem.
 func (s *Server) Document(key string) ([]byte, error) {
 	if !validKey(key) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
 	}
 	if v, ok := s.cache.Get(key, false); ok {
 		if doc := v.(*entry).doc; doc != nil {
-			return doc, nil
-		}
-	}
-	if s.opts.Dir != "" {
-		if doc, err := s.fs.ReadFile(s.docPath(key)); err == nil {
 			return doc, nil
 		}
 	}
@@ -849,16 +834,6 @@ func planSetKey(schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options
 	return hex.EncodeToString(sum[:16]), nil
 }
 
-// orBackground is the server's single sanctioned context root: every
-// public entry point tolerates a nil ctx from legacy callers by
-// defaulting to an uncancellable Background at the API boundary.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background() //mpq:ctxroot nil ctx from legacy callers defaults to an uncancellable root at the API boundary
-	}
-	return ctx
-}
-
 // Prepare optimizes a template (unless its plan set is already cached),
 // persists the plan set through the store format, and caches the
 // deserialized set for Picks. Concurrent Prepares of the same template
@@ -869,7 +844,6 @@ func orBackground(ctx context.Context) context.Context {
 // and singleflight key promptly — without poisoning concurrent
 // requests for the same key, which simply retry the flight.
 func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, error) {
-	ctx = orBackground(ctx)
 	schema, cloudCfg, err := tpl.resolve()
 	if err != nil {
 		return PrepareResult{}, err
@@ -1112,7 +1086,6 @@ type entrySource int
 
 const (
 	sourceComputed entrySource = iota
-	sourceDisk                 // legacy Options.Dir document
 	sourceShared               // Options.Shared store
 	sourcePeer                 // Options.Peers fetch
 )
@@ -1120,8 +1093,6 @@ const (
 // name labels the source for trace events.
 func (src entrySource) name() string {
 	switch src {
-	case sourceDisk:
-		return "disk"
 	case sourceShared:
 		return "shared"
 	case sourcePeer:
@@ -1133,8 +1104,8 @@ func (src entrySource) name() string {
 // validKey reports whether key has the exact shape planSetKey
 // produces: 32 lowercase hex digits. Every file- or URL-backed lookup
 // refuses other shapes, so a request-supplied key (Pick reloads, the
-// /planset peer endpoint) can never traverse paths under Options.Dir
-// or inject segments into a peer URL.
+// /planset peer endpoint) can never traverse paths under the shared
+// store's directory or inject segments into a peer URL.
 func validKey(key string) bool {
 	if len(key) != 32 {
 		return false
@@ -1149,10 +1120,10 @@ func validKey(key string) bool {
 }
 
 // loadFromSources tries every non-compute source in order — the
-// restart Dir, the shared store, then the peers — and returns the
-// first document that deserializes cleanly. A corrupt or unreadable
-// document from any source is not fatal: the next source (ultimately
-// the optimizer) takes over. Documents fetched from a peer are
+// shared store, then the peers — and returns the first document that
+// deserializes cleanly. A corrupt or unreadable document from any
+// source is not fatal: the next source (ultimately the optimizer)
+// takes over. Documents fetched from a peer are
 // re-published to the shared store so the next sibling finds them one
 // hop closer. Malformed keys resolve nowhere.
 //
@@ -1171,13 +1142,6 @@ func (s *Server) loadFromSources(ctx context.Context, w *worker, key string, acc
 	}
 	accept := func(e *entry) bool {
 		return acceptEps == nil || acceptEps(e.set.Epsilon)
-	}
-	if s.opts.Dir != "" {
-		if raw, err := s.fs.ReadFile(s.docPath(key)); err == nil {
-			if e, err := s.newEntry(raw, w); err == nil && accept(e) {
-				return e, sourceDisk, true
-			}
-		}
 	}
 	if s.opts.Shared != nil {
 		if doc, ok, err := s.opts.Shared.Get(key); err == nil && ok {
@@ -1198,22 +1162,27 @@ func (s *Server) loadFromSources(ctx context.Context, w *worker, key string, acc
 }
 
 // publishShared best-effort publishes a document to the shared store.
+// A failed Put is counted, never returned: the document is already in
+// hand, and the next Prepare of the key re-publishes it.
 func (s *Server) publishShared(key string, doc []byte) {
 	if s.opts.Shared == nil {
 		return
 	}
-	if err := s.opts.Shared.Put(key, doc); err == nil {
-		s.mu.Lock()
+	err := s.opts.Shared.Put(key, doc)
+	s.mu.Lock()
+	if err == nil {
 		s.stats.SharedPuts++
-		s.mu.Unlock()
+	} else {
+		s.stats.SharedPutErrors++
 	}
+	s.mu.Unlock()
 }
 
 // prepareOn runs on a pool worker: serve the document from the first
-// source that has it (Dir, shared store, peers), otherwise optimize,
-// Save through the store format, persist (Dir and shared store) and
-// cache the deserialized set. Picks therefore serve exactly the bytes
-// a separate run-time process would load, wherever they came from.
+// source that has it (shared store, peers), otherwise optimize, Save
+// through the store format, publish to the shared store and cache the
+// deserialized set. Picks therefore serve exactly the bytes a separate
+// run-time process would load, wherever they came from.
 //
 // With a refinement ladder configured, a deadline-bounded request for
 // a cold template takes the anytime path instead: compute the
@@ -1326,10 +1295,10 @@ func (s *Server) noteRefineState(key string, schema *catalog.Schema, cloudCfg cl
 
 // computeEntry optimizes a template at one approximation factor on
 // worker w and round-trips the result through the store format: the
-// returned entry is deserialized from exactly the bytes persisted to
-// Dir and published to the shared store, so picks serve what a
-// separate process would load. Shared by the classic Prepare path, the
-// anytime coarse path, and background refinement.
+// returned entry is deserialized from exactly the bytes published to
+// the shared store, so picks serve what a separate process would load.
+// Shared by the classic Prepare path, the anytime coarse path, and
+// background refinement.
 func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64, tr *obs.PrepareTrace) (*entry, core.Stats, error) {
 	model, err := cloud.NewModel(schema, cloudCfg, w.solver)
 	if err != nil {
@@ -1365,17 +1334,12 @@ func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema
 		tr.Phase("index_build")
 	}
 
-	// Failures past this point are server-side (serialization,
-	// persistence), not the client's template; wrap them in ErrInternal
-	// so transports report 5xx instead of 4xx.
+	// Failures past this point are server-side (serialization, reload),
+	// not the client's template; wrap them in ErrInternal so transports
+	// report 5xx instead of 4xx.
 	var buf bytes.Buffer
 	if err := store.SaveIndexedEpsilon(&buf, model.MetricNames(), model.Space(), result.Plans, ix, epsilon); err != nil {
 		return nil, core.Stats{}, fmt.Errorf("%w: %v", ErrInternal, err)
-	}
-	if s.opts.Dir != "" {
-		if err := s.persist(key, buf.Bytes()); err != nil {
-			return nil, core.Stats{}, fmt.Errorf("%w: persisting plan set: %v", ErrInternal, err)
-		}
 	}
 	s.publishShared(key, buf.Bytes())
 	e, err := s.newEntry(buf.Bytes(), w)
@@ -1387,10 +1351,9 @@ func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema
 
 // runRefineJob executes one background refinement step on the
 // refiner's goroutine: compute (or fetch) the job's generation and
-// atomically swap it into the serve cache, the persistence directory,
-// and the shared store. The cache swap is the linearization point — a
-// pick pins its entry for the whole request, so every pick observes
-// exactly one generation. A sibling may refine first: a source
+// atomically swap it into the serve cache and the shared store. The
+// cache swap is the linearization point — a pick pins its entry for
+// the whole request, so every pick observes exactly one generation. A sibling may refine first: a source
 // document at or below the job's factor is swapped in instead of
 // recomputed, and a job whose generation is already resident is
 // obsolete (counted Skipped, the chain continues).
@@ -1450,8 +1413,6 @@ func (s *Server) swapEntry(key string, e *entry, src entrySource) {
 		s.stats.Refine.Swaps++
 	}
 	switch src {
-	case sourceDisk:
-		s.stats.PrepareDiskHits++
 	case sourceShared:
 		s.stats.SharedHits++
 	case sourcePeer:
@@ -1467,7 +1428,7 @@ func (s *Server) WaitRefinement(ctx context.Context) error {
 	if s.refiner == nil {
 		return nil
 	}
-	return s.refiner.Wait(orBackground(ctx))
+	return s.refiner.Wait(ctx)
 }
 
 // serverDonor adapts the server's idle pool capacity to the
@@ -1615,8 +1576,6 @@ func (s *Server) insert(key string, e *entry, src entrySource) {
 	s.cache.Add(key, e, e.footprint(), false)
 	s.mu.Lock()
 	switch src {
-	case sourceDisk:
-		s.stats.PrepareDiskHits++
 	case sourceShared:
 		s.stats.SharedHits++
 	case sourcePeer:
@@ -1625,22 +1584,10 @@ func (s *Server) insert(key string, e *entry, src entrySource) {
 	s.mu.Unlock()
 }
 
-func (s *Server) docPath(key string) string {
-	return filepath.Join(s.opts.Dir, key+".json")
-}
-
-// persist writes the document through the fleet package's fsync'd
-// atomic write (temp file + rename + directory sync) — the same
-// durability the shared store gives the same bytes.
-func (s *Server) persist(key string, doc []byte) error {
-	return fleet.WriteFileAtomicFS(s.fs, s.opts.Dir, s.docPath(key), doc)
-}
-
 // Pick evaluates a selection policy at a parameter point against a
 // prepared plan set. ctx cancels or deadline-bounds the request (a
 // Pick abandoned while queued never starts).
 func (s *Server) Pick(ctx context.Context, req PickRequest) (PickResult, error) {
-	ctx = orBackground(ctx)
 	var res PickResult
 	var jerr error
 	err := s.run(ctx, func(w *worker) {
@@ -1701,7 +1648,6 @@ type PickBatchResult struct {
 // byte-identical to issuing the Picks one by one. Any invalid point or
 // selection failure fails the whole batch (the error names the point).
 func (s *Server) PickBatch(ctx context.Context, req PickBatchRequest) (PickBatchResult, error) {
-	ctx = orBackground(ctx)
 	var res PickBatchResult
 	var jerr error
 	err := s.run(ctx, func(w *worker) {
@@ -1834,7 +1780,7 @@ func (s *Server) pickOn(ctx context.Context, w *worker, req PickRequest) (PickRe
 }
 
 // entryFor resolves a plan-set key, transparently reloading evicted
-// entries from the non-compute sources (Dir, shared store, peers). The
+// entries from the non-compute sources (shared store, peers). The
 // resident entry is pinned against eviction for the duration of the
 // request; callers must call the returned release exactly once.
 func (s *Server) entryFor(ctx context.Context, key string, w *worker) (*entry, func(), error) {
@@ -1854,8 +1800,8 @@ func (s *Server) entryFor(ctx context.Context, key string, w *worker) (*entry, f
 	return e, func() {}, nil
 }
 
-// reload loads an evicted (or never-seen) key's document from Dir, the
-// shared store, or a peer — never by computing — deduplicating
+// reload loads an evicted (or never-seen) key's document from the
+// shared store or a peer — never by computing — deduplicating
 // concurrent reloads of one key. As with Prepare's singleflight, a
 // flight whose winner was cancelled does not poison waiters with live
 // contexts: they retry the reload themselves.

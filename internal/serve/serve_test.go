@@ -13,6 +13,8 @@ import (
 
 	"mpq/internal/cloud"
 	"mpq/internal/core"
+	"mpq/internal/faultfs"
+	"mpq/internal/fleet"
 	"mpq/internal/geometry"
 	"mpq/internal/selection"
 	"mpq/internal/store"
@@ -445,7 +447,7 @@ func TestIndexedPersistenceAcrossServers(t *testing.T) {
 	dir := t.TempDir()
 	tpl := testTemplate(21)
 
-	s1 := New(Options{Workers: 1, Dir: dir, Index: true})
+	s1 := New(Options{Workers: 1, Shared: dirStore(t, dir), Index: true})
 	prep1, err := s1.Prepare(context.Background(), tpl)
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +463,7 @@ func TestIndexedPersistenceAcrossServers(t *testing.T) {
 
 	// Restart with the persisted stanza: no rebuild, identical picks,
 	// index-served.
-	s2 := New(Options{Workers: 1, Dir: dir, Index: true})
+	s2 := New(Options{Workers: 1, Shared: dirStore(t, dir), Index: true})
 	prep2, err := s2.Prepare(context.Background(), tpl)
 	if err != nil {
 		t.Fatal(err)
@@ -487,12 +489,12 @@ func TestIndexedPersistenceAcrossServers(t *testing.T) {
 	// A document written WITHOUT an index is reindexed on load by an
 	// index-enabled server.
 	dir2 := t.TempDir()
-	plain := New(Options{Workers: 1, Dir: dir2})
+	plain := New(Options{Workers: 1, Shared: dirStore(t, dir2)})
 	if _, err := plain.Prepare(context.Background(), tpl); err != nil {
 		t.Fatal(err)
 	}
 	plain.Close()
-	s3 := New(Options{Workers: 1, Dir: dir2, Index: true})
+	s3 := New(Options{Workers: 1, Shared: dirStore(t, dir2), Index: true})
 	defer s3.Close()
 	prep3, err := s3.Prepare(context.Background(), tpl)
 	if err != nil {
@@ -591,14 +593,27 @@ func TestServerClosed(t *testing.T) {
 	}
 }
 
-// TestPersistenceAcrossServers: with Options.Dir, a second server
-// instance serves the first one's prepared template from the persisted
-// document — without optimizing — and picks identically.
+// dirStore opens a fleet.DirStore over dir: over a directory private
+// to one server, the restart persistence of Options.Shared. A fresh
+// store over the same directory is what a restarted process sees.
+func dirStore(t *testing.T, dir string) *fleet.DirStore {
+	t.Helper()
+	st, err := fleet.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestPersistenceAcrossServers: with a DirStore over a private
+// directory as Options.Shared, a second server instance serves the
+// first one's prepared template from the persisted document — without
+// optimizing — and picks identically.
 func TestPersistenceAcrossServers(t *testing.T) {
 	dir := t.TempDir()
 	tpl := testTemplate(21)
 
-	s1 := New(Options{Workers: 2, Dir: dir})
+	s1 := New(Options{Workers: 2, Shared: dirStore(t, dir)})
 	prep1, err := s1.Prepare(context.Background(), tpl)
 	if err != nil {
 		t.Fatal(err)
@@ -610,11 +625,11 @@ func TestPersistenceAcrossServers(t *testing.T) {
 	}
 	s1.Close()
 
-	if _, err := os.Stat(filepath.Join(dir, prep1.Key+".json")); err != nil {
-		t.Fatalf("persisted document missing: %v", err)
+	if _, ok, err := dirStore(t, dir).Get(prep1.Key); !ok || err != nil {
+		t.Fatalf("persisted document missing: ok=%v, err=%v", ok, err)
 	}
 
-	s2 := New(Options{Workers: 2, Dir: dir})
+	s2 := New(Options{Workers: 2, Shared: dirStore(t, dir)})
 	defer s2.Close()
 	prep2, err := s2.Prepare(context.Background(), tpl)
 	if err != nil {
@@ -623,8 +638,8 @@ func TestPersistenceAcrossServers(t *testing.T) {
 	if !prep2.Cached || prep2.Key != prep1.Key {
 		t.Errorf("restart Prepare: cached=%v, key match=%v", prep2.Cached, prep2.Key == prep1.Key)
 	}
-	if st := s2.Stats(); st.PrepareDiskHits != 1 {
-		t.Errorf("disk hits = %d, want 1", st.PrepareDiskHits)
+	if st := s2.Stats(); st.SharedHits != 1 {
+		t.Errorf("shared hits = %d, want 1", st.SharedHits)
 	}
 	res2, err := s2.Pick(context.Background(), PickRequest{Key: prep2.Key, Point: x, Policy: PolicyFrontier})
 	if err != nil {
@@ -706,12 +721,129 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestPrepareInternalFailure: server-side persistence failures are
-// wrapped in ErrInternal (transports map them to 5xx, not 4xx).
-func TestPrepareInternalFailure(t *testing.T) {
-	s := New(Options{Workers: 1, Dir: filepath.Join(t.TempDir(), "does", "not", "exist")})
+// TestBitFlippedPersistedDocumentIsRecomputed: a restarted server
+// whose persisted blob had one digit flipped — a document that still
+// parses and would silently drop or misprice plans — quarantines it on
+// the store's hash check and recomputes, so its picks and its document
+// stay byte-identical to the first run.
+func TestBitFlippedPersistedDocumentIsRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	tpl := testTemplate(21)
+
+	s1 := New(Options{Workers: 1, Shared: dirStore(t, dir)})
+	prep1, err := s1.Prepare(context.Background(), tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]string)
+	for _, x := range testPoints {
+		for k, v := range serverPicks(t, s1, prep1.Key, x) {
+			want[k] = v
+		}
+	}
+	doc1, err := s1.Document(prep1.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	// Flip the first digit of the first cost weight in the blob.
+	blobs, err := filepath.Glob(filepath.Join(dir, prep1.Key+".*.json"))
+	if err != nil || len(blobs) != 1 {
+		t.Fatalf("persisted blobs = %v (%v), want exactly one", blobs, err)
+	}
+	raw, err := os.ReadFile(blobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := bytes.Index(raw, []byte(`"cost":`))
+	if cost < 0 {
+		t.Fatal("persisted blob has no cost stanza")
+	}
+	at := cost + bytes.Index(raw[cost:], []byte(`"w":[`)) + len(`"w":[`)
+	for at < len(raw) && (raw[at] < '0' || raw[at] > '9') {
+		at++
+	}
+	if at >= len(raw) {
+		t.Fatal("no cost weight digit to flip")
+	}
+	raw[at] = '0' + (raw[at]-'0'+1)%10
+	if _, err := store.Load(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("flipped document no longer parses (%v); the test must exercise the hash check", err)
+	}
+	if err := os.WriteFile(blobs[0], raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Options{Workers: 1, Shared: dirStore(t, dir)})
+	defer s2.Close()
+	prep2, err := s2.Prepare(context.Background(), tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep2.Cached || prep2.Key != prep1.Key {
+		t.Errorf("restart Prepare over a flipped blob: cached=%v, key match=%v", prep2.Cached, prep2.Key == prep1.Key)
+	}
+	if st := s2.Stats(); st.QuarantinedBlobs != 1 || st.SharedHits != 0 {
+		t.Errorf("quarantined = %d, shared hits = %d; want 1 and 0", st.QuarantinedBlobs, st.SharedHits)
+	}
+	for _, x := range testPoints {
+		for k, v := range serverPicks(t, s2, prep2.Key, x) {
+			if fmt.Sprint(v) != fmt.Sprint(want[k]) {
+				t.Errorf("%s after recompute = %v, first run %v", k, v, want[k])
+			}
+		}
+	}
+	doc2, err := s2.Document(prep2.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc1, doc2) {
+		t.Errorf("recomputed document (%d bytes) differs from the first run's (%d bytes)", len(doc2), len(doc1))
+	}
+}
+
+// TestSharedPutFailureIsBestEffort: a shared store whose writes fail
+// does not fail the Prepare — the answer is computed, served and
+// byte-identical to the sequential path, and the failed publication is
+// counted in SharedPutErrors. A store directory that cannot be created
+// fails when the store is opened, before any server uses it.
+func TestSharedPutFailureIsBestEffort(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.NewDirStore(filepath.Join(file, "store")); err == nil {
+		t.Error("opening a store under a regular file succeeded")
+	}
+
+	tpl := testTemplate(21)
+	expected := sequentialPicks(t, tpl)
+	inj := faultfs.NewInjector(nil, faultfs.Config{})
+	shared, err := fleet.NewDirStoreFS(t.TempDir(), inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reads pass until the first write, which fails (and every filesystem
+	// operation after it).
+	inj.CrashAfterMutations(1)
+	s := New(Options{Workers: 1, Shared: shared})
 	defer s.Close()
-	if _, err := s.Prepare(context.Background(), testTemplate(21)); !errors.Is(err, ErrInternal) {
-		t.Errorf("Prepare into a missing dir = %v, want ErrInternal", err)
+	prep, err := s.Prepare(context.Background(), tpl)
+	if err != nil {
+		t.Fatalf("Prepare over a failing store: %v", err)
+	}
+	if prep.Cached {
+		t.Error("Prepare over an empty store reported cached")
+	}
+	for _, x := range testPoints {
+		for k, v := range serverPicks(t, s, prep.Key, x) {
+			if want := expected[k]; fmt.Sprint(v) != fmt.Sprint(want) {
+				t.Errorf("%s = %v, sequential %v", k, v, want)
+			}
+		}
+	}
+	if st := s.Stats(); st.SharedPutErrors < 1 || st.SharedPuts != 0 {
+		t.Errorf("shared put errors = %d, puts = %d; want >= 1 and 0", st.SharedPutErrors, st.SharedPuts)
 	}
 }

@@ -14,7 +14,7 @@ func TestEpsilonRoundTrip(t *testing.T) {
 	res, metrics, space := optimizeSample(t)
 
 	var exact, exactEps bytes.Buffer
-	if err := SaveIndexed(&exact, metrics, space, res.Plans, nil); err != nil {
+	if err := Save(&exact, metrics, space, res.Plans); err != nil {
 		t.Fatalf("save exact: %v", err)
 	}
 	if err := SaveIndexedEpsilon(&exactEps, metrics, space, res.Plans, nil, 0); err != nil {

@@ -144,7 +144,7 @@ func TestRoundTripPropertyIndexed(t *testing.T) {
 				t.Fatal(err)
 			}
 			var first bytes.Buffer
-			if err := SaveIndexed(&first, model.MetricNames(), model.Space(), res.Plans, ix); err != nil {
+			if err := SaveIndexedEpsilon(&first, model.MetricNames(), model.Space(), res.Plans, ix, 0); err != nil {
 				t.Fatalf("first save: %v", err)
 			}
 			ps, err := Load(bytes.NewReader(first.Bytes()))
@@ -165,11 +165,11 @@ func TestRoundTripPropertyIndexed(t *testing.T) {
 				loaded[i] = &core.PlanInfo{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
 			}
 			var second bytes.Buffer
-			if err := SaveIndexed(&second, ps.Metrics, ps.Space, loaded, ps.Index); err != nil {
+			if err := SaveIndexedEpsilon(&second, ps.Metrics, ps.Space, loaded, ps.Index, 0); err != nil {
 				t.Fatalf("second save: %v", err)
 			}
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Errorf("SaveIndexed∘Load is not the identity: document sizes %d vs %d",
+				t.Errorf("SaveIndexedEpsilon∘Load is not the identity: document sizes %d vs %d",
 					first.Len(), second.Len())
 			}
 		})

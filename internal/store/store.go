@@ -25,29 +25,21 @@ import (
 	"mpq/internal/region"
 )
 
-// FormatVersion identifies the serialization layout. Version 4 added
-// the epsilon stanza recording the approximation factor of an
-// ε-approximate plan set (SaveIndexedEpsilon); version 3 added the
-// optional point-location pick-index stanza (SaveIndexed); version 2
-// added the region-options stanza and the explicit always-relevant
-// marker. Older documents are still readable: version 2 documents
-// simply carry no index (callers rebuild one on load when they want
-// it), and version 1 regions load with the paper's default refinements
-// and treat plans without cutouts as always relevant, the only
-// semantics version 1 could express.
-//
-// Exact plan sets (epsilon 0) are still written as version 3 — byte
-// for byte the historical output — so the version number itself
+// FormatVersion identifies the serialization layout. Load reads
+// exactly the two versions the writer produces: version 4 carries the
+// epsilon stanza recording the approximation factor of an
+// ε-approximate plan set, and exact plan sets (epsilon 0) are written
+// as version 3 — byte for byte the historical output, so cache keys
+// and stored documents never change. The version number therefore
 // certifies the tier: a version 4 document is an ε-approximate set and
 // must say so, an exact set has exactly one canonical serialized form.
+// Both carry the region-options stanza, the explicit always-relevant
+// marker, and the optional point-location pick-index stanza.
 const FormatVersion = 4
 
 // formatVersionExact is the version written for exact (epsilon 0)
 // plan sets: the canonical pre-epsilon layout.
 const formatVersionExact = 3
-
-// minFormatVersion is the oldest version Load still accepts.
-const minFormatVersion = 1
 
 // Document is the top-level serialized form of an optimization result.
 type Document struct {
@@ -63,12 +55,12 @@ type Document struct {
 	// RegionOptions records the Section 6.2 refinement configuration the
 	// relevance regions were built with, so Load rebuilds them with the
 	// same options instead of whatever the current defaults happen to
-	// be. Absent in version 1 documents (which load with the defaults).
+	// be. Always written; Load rejects a document without it.
 	RegionOptions *regionOptionsJS `json:"region_options,omitempty"`
 	Plans         []planEnt        `json:"plans"`
 	// Index is the optional point-location pick index over the plan
-	// set's parameter space (version 3). Absent when the set was saved
-	// without one; loaders that want an index rebuild it from the plans.
+	// set's parameter space. Absent when the set was saved without one;
+	// loaders that want an index rebuild it from the plans.
 	Index *index.Snapshot `json:"index,omitempty"`
 }
 
@@ -99,9 +91,7 @@ func regionOptionsToJS(o region.Options) *regionOptionsJS {
 
 func regionOptionsFromJS(j *regionOptionsJS) (region.Options, error) {
 	if j == nil {
-		// Version 1 documents carry no stanza; they were written when
-		// save and load both meant the paper's default refinements.
-		return region.DefaultOptions(), nil
+		return region.Options{}, fmt.Errorf("store: document without region_options")
 	}
 	strategy, err := region.ParseStrategy(j.Strategy)
 	if err != nil {
@@ -152,22 +142,16 @@ type halfspaceJS struct {
 // optimizer run share their options), so Load rebuilds regions exactly
 // as they were configured at save time.
 func Save(w io.Writer, metrics []string, space *geometry.Polytope, plans []*core.PlanInfo) error {
-	return SaveIndexed(w, metrics, space, plans, nil)
+	return SaveIndexedEpsilon(w, metrics, space, plans, nil, 0)
 }
 
-// SaveIndexed is Save with an optional point-location pick index built
-// over the same plan order (nil saves no index stanza). The index's
-// leaf candidate ids refer to positions in plans; Load returns the
-// reconstructed index alongside the plan set.
-func SaveIndexed(w io.Writer, metrics []string, space *geometry.Polytope, plans []*core.PlanInfo, ix *index.Index) error {
-	return SaveIndexedEpsilon(w, metrics, space, plans, ix, 0)
-}
-
-// SaveIndexedEpsilon is SaveIndexed for ε-approximate plan sets: the
-// document records the approximation factor the optimizer ran with, so
-// loaders can tell tiers apart. Epsilon 0 writes the canonical exact
-// form (version 3, byte-identical to SaveIndexed); epsilon > 0 writes
-// a version 4 document.
+// SaveIndexedEpsilon is Save with an optional point-location pick index
+// built over the same plan order (nil saves no index stanza; the
+// index's leaf candidate ids refer to positions in plans, and Load
+// returns the reconstructed index alongside the plan set) and the
+// approximation factor the optimizer ran with, so loaders can tell
+// tiers apart. Epsilon 0 writes the canonical exact form (version 3);
+// epsilon > 0 writes a version 4 document.
 func SaveIndexedEpsilon(w io.Writer, metrics []string, space *geometry.Polytope, plans []*core.PlanInfo, ix *index.Index, epsilon float64) error {
 	if epsilon < 0 || math.IsNaN(epsilon) {
 		return fmt.Errorf("store: invalid epsilon %v", epsilon)
@@ -238,30 +222,31 @@ type PlanSet struct {
 	Epsilon float64
 	Plans   []LoadedPlan
 	// Index is the point-location pick index persisted with the set,
-	// or nil when the document carried none (pre-v3 documents, or sets
-	// saved without one). Its leaf candidate ids index Plans.
+	// or nil when the document carried none (the set was saved without
+	// one). Its leaf candidate ids index Plans.
 	Index *index.Index
 }
 
-// Load reads a serialized plan set.
+// Load reads a serialized plan set: a version 3 (exact) or version 4
+// (ε-approximate) document, the two versions Save writes.
 func Load(r io.Reader) (*PlanSet, error) {
 	var doc Document
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("store: decoding: %w", err)
 	}
-	if doc.Version < minFormatVersion || doc.Version > FormatVersion {
+	if doc.Version != formatVersionExact && doc.Version != FormatVersion {
 		return nil, fmt.Errorf("store: unsupported format version %d", doc.Version)
 	}
 	// The version number and the epsilon stanza certify each other: a
-	// pre-v4 document cannot carry an epsilon, and a v4 document must —
-	// the canonical form of an exact set is version 3. A mismatch means
+	// v3 document cannot carry an epsilon, and a v4 document must — the
+	// canonical form of an exact set is version 3. A mismatch means
 	// the document was tampered with or corrupted, and trusting either
 	// half could serve approximate plans as exact.
 	if doc.Epsilon < 0 || math.IsNaN(doc.Epsilon) {
 		return nil, fmt.Errorf("store: invalid epsilon %v", doc.Epsilon)
 	}
-	if doc.Version < FormatVersion && doc.Epsilon != 0 {
+	if doc.Version == formatVersionExact && doc.Epsilon != 0 {
 		return nil, fmt.Errorf("store: version %d document carries epsilon %v (epsilon requires version %d)", doc.Version, doc.Epsilon, FormatVersion)
 	}
 	if doc.Version == FormatVersion && doc.Epsilon == 0 {
@@ -292,11 +277,8 @@ func Load(r io.Reader) (*PlanSet, error) {
 		lp := LoadedPlan{Plan: node, Cost: cost}
 		// A nil relevance region ("always relevant") must survive the
 		// round trip: selection's documented fast path skips all
-		// containment work for it. Version 1 documents had no explicit
-		// marker; there an absent cutout list is the only way a nil
-		// region could have been written.
-		always := ent.AlwaysRelevant || (doc.Version < 2 && len(ent.Cutouts) == 0)
-		if always {
+		// containment work for it.
+		if ent.AlwaysRelevant {
 			if len(ent.Cutouts) > 0 {
 				return nil, fmt.Errorf("store: plan %d is marked always-relevant but has %d cutouts", i, len(ent.Cutouts))
 			}

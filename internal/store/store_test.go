@@ -72,19 +72,44 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadDocuments: each malformed document is rejected by
+// the check it is about — the error names the cause. Load reads only
+// the versions Save writes (3 exact, 4 ε), so otherwise-valid version
+// 1 and 2 documents and a v3 document without the region-options
+// stanza are rejected too.
 func TestLoadRejectsBadDocuments(t *testing.T) {
-	cases := map[string]string{
-		"bad json":       `{`,
-		"wrong version":  `{"version":99,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
-		"no metrics":     `{"version":1,"metrics":[],"space":{"dim":1},"plans":[]}`,
-		"zero dim space": `{"version":1,"metrics":["t"],"space":{"dim":0},"plans":[]}`,
-		"bad constraint": `{"version":1,"metrics":["t"],"space":{"dim":2,"constraints":[{"w":[1],"b":0}]},"plans":[]}`,
-		"scan with kids": `{"version":1,"metrics":["t"],"space":{"dim":1},"plans":[{"tree":{"op":"x","table":0,"left":{"op":"s","table":1}},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]},"cutouts":[]}]}`,
-		"metric count":   `{"version":1,"metrics":["t","f"],"space":{"dim":1},"plans":[{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]},"cutouts":[]}]}`,
+	const opts = `"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true}`
+	const unit = `"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]}`
+	const scan = `{"tree":{"op":"s","table":0},"always_relevant":true,"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}`
+	valid := `{"version":3,"metrics":["t"],` + unit + `,` + opts + `,"plans":[` + scan + `]}`
+	if _, err := Load(strings.NewReader(valid)); err != nil {
+		t.Fatalf("valid v3 skeleton rejected: %v", err)
 	}
-	for name, doc := range cases {
-		if _, err := Load(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: accepted", name)
+	cases := []struct {
+		name, doc, wantErr string
+	}{
+		{"bad json", `{`, "decoding"},
+		{"wrong version", strings.Replace(valid, `"version":3`, `"version":99`, 1), "unsupported format version 99"},
+		// The documents version 1 and 2 writers produced (no options
+		// stanza and no always-relevant marker; no index stanza).
+		{"version 1", `{"version":1,"metrics":["t"],` + unit + `,"plans":[` +
+			`{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}]}`,
+			"unsupported format version 1"},
+		{"version 2", strings.Replace(valid, `"version":3`, `"version":2`, 1), "unsupported format version 2"},
+		{"no region options", strings.Replace(valid, opts+`,`, "", 1), "without region_options"},
+		{"no metrics", `{"version":3,"metrics":[],` + unit + `,` + opts + `,"plans":[]}`, "without metrics"},
+		{"zero dim space", `{"version":3,"metrics":["t"],"space":{"dim":0},` + opts + `,"plans":[]}`, "polytope with dimension 0"},
+		{"bad constraint", `{"version":3,"metrics":["t"],"space":{"dim":2,"constraints":[{"w":[1],"b":0}]},` + opts + `,"plans":[]}`,
+			"constraint dimension 1, want 2"},
+		{"scan with kids", strings.Replace(valid, `"table":0}`, `"table":0,"left":{"op":"s","table":1}}`, 1), "scan node with children"},
+		{"metric count", strings.Replace(valid, `"metrics":["t"]`, `"metrics":["t","f"]`, 1), "cost with 1 components, want 2"},
+	}
+	for _, tc := range cases {
+		_, err := Load(strings.NewReader(tc.doc))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
 	}
 }
@@ -97,7 +122,7 @@ func TestLoadRejectsDimensionMismatches(t *testing.T) {
 	// A valid 1-parameter document skeleton: one scan plan, one linear
 	// cost piece, one cutout. %s slots: piece region, cutout list,
 	// extra plan fields.
-	const tmpl = `{"version":2,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
+	const tmpl = `{"version":3,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
 		`"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true},` +
 		`"plans":[{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":%s,"w":[1],"b":0}]}]}%s}]}`
 	good2D := `{"dim":2,"constraints":[{"w":[1,0],"b":1},{"w":[-1,0],"b":0}]}`
@@ -243,47 +268,6 @@ func TestRoundTripPreservesAlwaysRelevant(t *testing.T) {
 		if ps.Plans[i].RR == nil {
 			t.Errorf("plan %d lost its relevance region", i)
 		}
-	}
-}
-
-// TestLoadVersion1Document: version 1 documents (no options stanza, no
-// always-relevant marker) still load: default refinements, absent
-// cutouts meaning always relevant.
-func TestLoadVersion1Document(t *testing.T) {
-	const doc = `{"version":1,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
-		`"plans":[` +
-		`{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}},` +
-		`{"tree":{"op":"s","table":1},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[2],"b":0}]}]},` +
-		`"cutouts":[{"dim":1,"constraints":[{"w":[1],"b":0.5}]}]}` +
-		`]}`
-	ps, err := Load(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Plans[0].RR != nil {
-		t.Error("v1 plan without cutouts should load always-relevant")
-	}
-	if ps.Plans[1].RR == nil {
-		t.Fatal("v1 plan with cutouts lost its region")
-	}
-	if got := ps.Plans[1].RR.Options(); got != region.DefaultOptions() {
-		t.Errorf("v1 region options = %+v, want defaults", got)
-	}
-}
-
-// TestLoadVersion2Document: version 2 documents (no index stanza)
-// still load, with a nil PlanSet.Index.
-func TestLoadVersion2Document(t *testing.T) {
-	const doc = `{"version":2,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
-		`"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true},` +
-		`"plans":[{"tree":{"op":"s","table":0},"always_relevant":true,` +
-		`"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}]}`
-	ps, err := Load(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Index != nil {
-		t.Error("v2 document loaded with an index")
 	}
 }
 

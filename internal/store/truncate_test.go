@@ -26,7 +26,7 @@ func saveIndexedSample(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveIndexed(&buf, metrics, space, res.Plans, ix); err != nil {
+	if err := SaveIndexedEpsilon(&buf, metrics, space, res.Plans, ix, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

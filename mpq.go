@@ -304,7 +304,7 @@ type (
 	// cache, bounded request queue.
 	Server = serve.Server
 	// ServeOptions configures a Server (pool size, queue depth,
-	// optimizer configuration, persistence directory).
+	// optimizer configuration, plan-set store).
 	ServeOptions = serve.Options
 	// ServeTemplate describes a query template for Server.Prepare.
 	ServeTemplate = serve.Template
@@ -407,8 +407,10 @@ type (
 // prepared plan-set documents to peers (GET <peer>/planset/<key>).
 const PlanSetPath = fleet.PlanSetPath
 
-// NewSharedDirStore opens (creating if needed) an on-disk shared
-// plan-set store rooted at dir, for ServeOptions.Shared.
+// NewSharedDirStore opens (creating if needed) an on-disk plan-set
+// store rooted at dir, for ServeOptions.Shared: over a directory
+// private to one server it persists plan sets across restarts, over a
+// directory shared by a fleet it shares preparations.
 func NewSharedDirStore(dir string) (*DirPlanSetStore, error) { return fleet.NewDirStore(dir) }
 
 // NewPlanSetPeers returns a peer client over the given base URLs, for
