@@ -322,31 +322,6 @@ type pickBatchReqJS struct {
 	DeadlineMs int64       `json:"deadline_ms,omitempty"`
 }
 
-type choiceJS struct {
-	Plan string    `json:"plan"`
-	Cost []float64 `json:"cost"`
-}
-
-type pickRespJS struct {
-	Metrics []string   `json:"metrics"`
-	Choices []choiceJS `json:"choices"`
-	// Epsilon/Generation/Final describe the generation that answered;
-	// see prepareRespJS.
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
-}
-
-type pickBatchRespJS struct {
-	Metrics []string     `json:"metrics"`
-	Choices [][]choiceJS `json:"choices"`
-	// Epsilon/Generation/Final describe the generation that answered
-	// the whole batch (a batch never straddles a refinement swap).
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
-}
-
 type errorJS struct {
 	Error string `json:"error"`
 }
@@ -430,18 +405,10 @@ func doPrepare(ctx context.Context, s *serve.Server, body prepareReqJS) (prepare
 	}, nil
 }
 
-func doPick(ctx context.Context, s *serve.Server, body pickReqJS) (pickRespJS, error) {
+func doPick(ctx context.Context, s *serve.Server, body pickReqJS) (serve.PickResult, error) {
 	ctx, cancel := reqContext(ctx, body.DeadlineMs, 0)
 	defer cancel()
-	res, err := s.Pick(ctx, body.request())
-	if err != nil {
-		return pickRespJS{}, err
-	}
-	out := pickRespJS{
-		Metrics: res.Metrics, Choices: choicesJS(res.Choices),
-		Epsilon: res.Epsilon, Generation: res.Generation, Final: res.Final,
-	}
-	return out, nil
+	return s.Pick(ctx, body.request())
 }
 
 func (r pickBatchReqJS) request() serve.PickBatchRequest {
@@ -462,35 +429,16 @@ func (r pickBatchReqJS) request() serve.PickBatchRequest {
 	return req
 }
 
-func doPickBatch(ctx context.Context, s *serve.Server, body pickBatchReqJS) (pickBatchRespJS, error) {
+func doPickBatch(ctx context.Context, s *serve.Server, body pickBatchReqJS) (serve.PickBatchResult, error) {
 	ctx, cancel := reqContext(ctx, body.DeadlineMs, 0)
 	defer cancel()
-	res, err := s.PickBatch(ctx, body.request())
-	if err != nil {
-		return pickBatchRespJS{}, err
-	}
-	out := pickBatchRespJS{
-		Metrics: res.Metrics, Choices: [][]choiceJS{},
-		Epsilon: res.Epsilon, Generation: res.Generation, Final: res.Final,
-	}
-	for _, cs := range res.Choices {
-		out.Choices = append(out.Choices, choicesJS(cs))
-	}
-	return out, nil
-}
-
-func choicesJS(cs []selection.Choice) []choiceJS {
-	out := []choiceJS{}
-	for _, c := range cs {
-		out = append(out, choiceJS{Plan: c.Plan.String(), Cost: c.Cost})
-	}
-	return out
+	return s.PickBatch(ctx, body.request())
 }
 
 // newMux wires the server behind HTTP. Queue saturation maps to
-// 429, a closed server to 503, an unknown key to 404, malformed
-// requests to 400. Every handler feeds the access log (a nil logger
-// costs one branch).
+// 429, a closed server to 503, an unknown key to 404, an answer JSON
+// cannot carry (a non-finite cost) to 500, malformed requests to 400.
+// Every handler feeds the access log (a nil logger costs one branch).
 func newMux(s *serve.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /prepare", func(w http.ResponseWriter, r *http.Request) {
@@ -518,14 +466,19 @@ func newMux(s *serve.Server) *http.ServeMux {
 			accessLog.record("http", "pick", "", http.StatusBadRequest, start, err, nil)
 			return
 		}
-		resp, err := doPick(r.Context(), s, body)
+		res, err := doPick(r.Context(), s, body)
+		e := newPickEncoder()
+		defer e.free()
+		if err == nil {
+			err = e.pick(res)
+		}
 		if err != nil {
 			writeError(w, statusOf(err), err)
 			accessLog.record("http", "pick", body.Key, statusOf(err), start, err, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		accessLog.record("http", "pick", body.Key, http.StatusOK, start, nil, &genInfo{resp.Epsilon, resp.Generation})
+		writeBody(w, e.buf)
+		accessLog.record("http", "pick", body.Key, http.StatusOK, start, nil, &genInfo{res.Epsilon, res.Generation})
 	})
 	mux.HandleFunc("POST /pickbatch", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -535,14 +488,19 @@ func newMux(s *serve.Server) *http.ServeMux {
 			accessLog.record("http", "pickbatch", "", http.StatusBadRequest, start, err, nil)
 			return
 		}
-		resp, err := doPickBatch(r.Context(), s, body)
+		res, err := doPickBatch(r.Context(), s, body)
+		e := newPickEncoder()
+		defer e.free()
+		if err == nil {
+			err = e.pickBatch(res)
+		}
 		if err != nil {
 			writeError(w, statusOf(err), err)
 			accessLog.record("http", "pickbatch", body.Key, statusOf(err), start, err, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		accessLog.record("http", "pickbatch", body.Key, http.StatusOK, start, nil, &genInfo{resp.Epsilon, resp.Generation})
+		writeBody(w, e.buf)
+		accessLog.record("http", "pickbatch", body.Key, http.StatusOK, start, nil, &genInfo{res.Epsilon, res.Generation})
 	})
 	mux.HandleFunc("GET /planset/{key}", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -573,6 +531,8 @@ func newMux(s *serve.Server) *http.ServeMux {
 
 func statusOf(err error) int {
 	switch {
+	case errors.As(err, new(*json.UnsupportedValueError)):
+		return http.StatusInternalServerError
 	case errors.Is(err, serve.ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, serve.ErrServerClosed):
@@ -648,7 +608,6 @@ func readLine(br *bufio.Reader, max int) (stdinLine, error) {
 // the -max-line cap are answered with a structured error object
 // in-band; the loop keeps serving.
 func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer) error {
-	enc := json.NewEncoder(out)
 	lines := make(chan stdinLine)
 	scanErr := make(chan error, 1)
 	go func() {
@@ -690,7 +649,7 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 					// The session context is already done; answer the
 					// pending line on its own context so the grace
 					// window actually serves it.
-					if err := handleLine(context.Background(), s, enc, line); err != nil {
+					if err := handleLine(context.Background(), s, out, line); err != nil {
 						return err
 					}
 				case <-time.After(50 * time.Millisecond):
@@ -708,7 +667,7 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 					return nil
 				}
 			}
-			if err := handleLine(ctx, s, enc, line); err != nil {
+			if err := handleLine(ctx, s, out, line); err != nil {
 				return err
 			}
 		}
@@ -716,12 +675,15 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 }
 
 // handleLine answers one stdin-protocol request; the returned error is
-// an output-encoding failure (request errors, including oversized and
-// malformed lines, are answered in-band). The access log gets the same
+// an output failure (request errors, including oversized and malformed
+// lines and answers JSON cannot carry, are answered in-band). Pick
+// answers go through the same encoder as on HTTP, so both transports
+// emit the same bytes. The access log gets the same
 // op/key/status/latency fields as the HTTP transport, with statuses
 // mapped as statusOf would map them.
-func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line stdinLine) error {
+func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinLine) error {
 	start := time.Now()
+	enc := json.NewEncoder(out)
 	if line.tooLong {
 		accessLog.record("stdin", "", "", http.StatusBadRequest, start, errors.New("line too long"), nil)
 		return enc.Encode(errorJS{Error: fmt.Sprintf("line exceeds %d bytes", stdinMaxLine)})
@@ -733,7 +695,8 @@ func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line st
 		accessLog.record("stdin", "", "", http.StatusBadRequest, start, err, nil)
 		return enc.Encode(errorJS{Error: err.Error()})
 	}
-	var resp any
+	var resp any   // answered through enc
+	var raw []byte // a pick answer, already encoded
 	var err error
 	var key string
 	var gen *genInfo
@@ -751,20 +714,28 @@ func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line st
 		var body pickReqJS
 		if err = json.Unmarshal(line.data, &body); err == nil {
 			key = body.Key
-			var r pickRespJS
+			var r serve.PickResult
 			if r, err = doPick(ctx, s, body); err == nil {
-				resp = r
-				gen = &genInfo{r.Epsilon, r.Generation}
+				e := newPickEncoder()
+				defer e.free()
+				if err = e.pick(r); err == nil {
+					raw = e.buf
+					gen = &genInfo{r.Epsilon, r.Generation}
+				}
 			}
 		}
 	case "pickbatch":
 		var body pickBatchReqJS
 		if err = json.Unmarshal(line.data, &body); err == nil {
 			key = body.Key
-			var r pickBatchRespJS
+			var r serve.PickBatchResult
 			if r, err = doPickBatch(ctx, s, body); err == nil {
-				resp = r
-				gen = &genInfo{r.Epsilon, r.Generation}
+				e := newPickEncoder()
+				defer e.free()
+				if err = e.pickBatch(r); err == nil {
+					raw = e.buf
+					gen = &genInfo{r.Epsilon, r.Generation}
+				}
 			}
 		}
 	case "stats":
@@ -777,5 +748,9 @@ func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line st
 		return enc.Encode(errorJS{Error: err.Error()})
 	}
 	accessLog.record("stdin", op.Op, key, http.StatusOK, start, nil, gen)
+	if raw != nil {
+		_, err = out.Write(raw)
+		return err
+	}
 	return enc.Encode(resp)
 }

@@ -184,7 +184,8 @@ func Optimize(schema *catalog.Schema, model CostModel, opts Options) (*Result, e
 
 // OptimizeCtx is Optimize with cooperative cancellation: the run
 // checks runCtx between scheduler tasks (masks, split chunks) and
-// stops promptly — workers, donated goroutines, and the caller all
+// between the candidates of a mask planned in one piece, and stops
+// promptly — workers, donated goroutines, and the caller all
 // unwind — returning runCtx's error. Cancellation is strictly
 // cooperative and checkpoint-based, so any run that completes without
 // observing a done context is byte-identical to an uncancelled run.

@@ -200,14 +200,22 @@ func forEachCandidate(groups []splitGroup, fn func(idx int, i1, i2 *PlanInfo, al
 
 // planGroups generates and prunes every candidate plan of the split
 // groups in order — the historical GenerateParetoPlanSet loop body,
-// operating on a worker-local candidate set.
-func (w *worker) planGroups(groups []splitGroup) []*PlanInfo {
+// operating on a worker-local candidate set. The run context is
+// checked before each candidate (a passive read, like the scheduler's
+// checkpoints): once it is done, planGroups stops and reports false,
+// and the caller must not complete the mask with the partial set.
+func (w *worker) planGroups(groups []splitGroup) ([]*PlanInfo, bool) {
 	var cur []*PlanInfo
+	done := false
 	forEachCandidate(groups, func(_ int, i1, i2 *PlanInfo, alt Alternative) {
+		if done || w.o.runCtx.Err() != nil {
+			done = true
+			return
+		}
 		pn := plan.Join(alt.Op, i1.Plan, i2.Plan)
 		cur = w.prune(cur, pn, w.algebra.Accumulate(alt.Cost, i1.Cost, i2.Cost))
 	})
-	return cur
+	return cur, !done
 }
 
 // splitJob is the intra-mask split parallelism of one wide mask. Phase
@@ -329,7 +337,8 @@ type scheduler struct {
 
 	// aborted flips when the run's context is done: workers stop
 	// claiming tasks at the next checkpoint (between masks and between
-	// split chunks) and unwind. Checkpoints are passive reads, so a run
+	// split chunks; planGroups also checks the context between
+	// candidates) and unwind. Checkpoints are passive reads, so a run
 	// that never observes the flag executes exactly like one without a
 	// cancellable context — the byte-identity contract is untouched.
 	aborted atomic.Bool
@@ -443,7 +452,10 @@ func (s *scheduler) runSequential() SchedulerStats {
 		if s.o.runCtx.Err() != nil {
 			break
 		}
-		infos := w.planGroups(s.o.enumerateSplits(q))
+		infos, ok := w.planGroups(s.o.enumerateSplits(q))
+		if !ok {
+			break
+		}
 		s.o.store.complete(q, infos)
 		done++
 		if s.o.noteSetSize(len(infos)) {
@@ -555,7 +567,9 @@ func (s *scheduler) planMask(w *worker, q catalog.TableSet) {
 		s.runJobChunks(w, j)
 		return
 	}
-	s.complete(q, w.planGroups(groups))
+	if infos, ok := w.planGroups(groups); ok {
+		s.complete(q, infos)
+	}
 }
 
 // donorIdle estimates the goroutines Options.Donor could lend right

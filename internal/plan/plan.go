@@ -5,6 +5,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mpq/internal/catalog"
@@ -51,11 +52,22 @@ func (n *Node) Operators() int {
 
 // String renders the plan as a compact expression, e.g.
 // "hash(idxscan(T1), scan(T2))".
-func (n *Node) String() string {
+func (n *Node) String() string { return string(n.AppendString(nil)) }
+
+// AppendString appends the String rendering of the plan to dst in one
+// pass over the tree and returns the extended slice.
+func (n *Node) AppendString(dst []byte) []byte {
+	dst = append(dst, n.Op...)
+	dst = append(dst, '(')
 	if n.IsScan() {
-		return fmt.Sprintf("%s(T%d)", n.Op, int(n.Table)+1)
+		dst = append(dst, 'T')
+		dst = strconv.AppendInt(dst, int64(n.Table)+1, 10)
+	} else {
+		dst = n.Left.AppendString(dst)
+		dst = append(dst, ", "...)
+		dst = n.Right.AppendString(dst)
 	}
-	return fmt.Sprintf("%s(%s, %s)", n.Op, n.Left, n.Right)
+	return append(dst, ')')
 }
 
 // Explain renders an indented operator tree for human consumption.

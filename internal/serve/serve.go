@@ -1063,6 +1063,11 @@ func (s *Server) run(ctx context.Context, fn func(w *worker)) error {
 		s.stats.Geometry.Add(diff)
 		s.mu.Unlock()
 	}
+	// A context that is already done never submits: a worker could
+	// otherwise pick the job up before the select below sees ctx fire.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if err := s.submit(j); err != nil {
 		return err
 	}
