@@ -297,14 +297,23 @@ func (j *splitJob) runChunk(w *worker, c int) {
 }
 
 // reduce prunes every candidate in sequential order using the costs of
-// phase A. It runs exactly once, after the last chunk completes.
-func (j *splitJob) reduce(w *worker) []*PlanInfo {
+// phase A. It runs exactly once, after the last chunk completes. Like
+// planGroups it checks the run context before each candidate (a
+// passive read, so uncancelled runs are untouched): once it is done,
+// reduce stops and reports false, and the caller must not complete the
+// mask with the partial set.
+func (j *splitJob) reduce(w *worker) ([]*PlanInfo, bool) {
 	var cur []*PlanInfo
+	done := false
 	forEachCandidate(j.groups, func(idx int, i1, i2 *PlanInfo, alt Alternative) {
+		if done || w.o.runCtx.Err() != nil {
+			done = true
+			return
+		}
 		pn := plan.Join(alt.Op, i1.Plan, i2.Plan)
 		cur = w.prune(cur, pn, j.costs[idx])
 	})
-	return cur
+	return cur, !done
 }
 
 // scheduler drives the dependency-pipelined execution of a run's join
@@ -724,7 +733,9 @@ func (s *scheduler) runJobChunks(w *worker, j *splitJob) {
 		j.runChunk(w, c)
 		if j.left.Add(-1) == 0 {
 			s.tasks.Add(1)
-			s.complete(j.q, j.reduce(w))
+			if infos, ok := j.reduce(w); ok {
+				s.complete(j.q, infos)
+			}
 		}
 	}
 }

@@ -23,16 +23,23 @@
 // depends only on the candidate set and the build options, never on
 // goroutine scheduling, so persisted indexes (the store's v3 "index"
 // stanza) are byte-stable across processes and pool sizes.
+//
+// Both the build and the leaf views (LeafViews) descend the tree once
+// and narrow as they go: what a cell has decided — a cutout disjoint
+// from it, a constraint satisfied or violated everywhere in it, a piece
+// excluded from it — stays decided in every cell below (see cell), so
+// each level tests only what its parent left open. The views of cells
+// that decide alike are shared, not copied.
 package index
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"mpq/internal/geometry"
-	"mpq/internal/pwl"
 	"mpq/internal/selection"
 )
 
@@ -135,9 +142,17 @@ func Build(s *geometry.Solver, space *geometry.Polytope, cands []selection.Candi
 		lo[i] -= pad
 		hi[i] += pad
 	}
-	ids := make([]int32, len(cands))
-	for i := range ids {
-		ids[i] = int32(i)
+	root := cell{ids: make([]int32, len(cands)), off: make([]int32, 1, len(cands)+1)}
+	for i, c := range cands {
+		root.ids[i] = int32(i)
+		if prunableCandidate(c) {
+			for _, cut := range c.RR.Cutouts() {
+				if !boxDisjoint(lo, hi, cut) {
+					root.cuts = append(root.cuts, cut)
+				}
+			}
+		}
+		root.off = append(root.off, int32(len(root.cuts)))
 	}
 	b := &builder{cands: cands, opts: opts}
 	// Spawn goroutines only near the root: ~log2(Workers)+1 levels keep
@@ -145,9 +160,9 @@ func Build(s *geometry.Solver, space *geometry.Polytope, cands []selection.Candi
 	for d := 1; d < opts.Workers; d *= 2 {
 		b.parDepth++
 	}
-	root := b.build(lo, hi, ids, 0, opts.MaxLeaves)
+	broot := b.build(lo, hi, root, 0, opts.MaxLeaves, new(scratch))
 	ix := &Index{dim: dim, lo: lo, hi: hi, opts: opts}
-	ix.flatten(root, 0)
+	ix.flatten(broot, 0)
 	ix.buildTime = time.Since(start) //mpq:wallclock build-time stat; never reaches the tree shape
 	return ix, nil
 }
@@ -157,6 +172,30 @@ type builder struct {
 	cands    []selection.Candidate
 	opts     Options
 	parDepth int
+}
+
+// cell is the build state of one tree cell: the ids of the candidates
+// kept in it (ascending) and, for the i-th of them, the cutouts not
+// provably disjoint from the cell, cuts[off[i]:off[i+1]].
+//
+// Narrowing is exact, not a heuristic. A child cell lies inside its
+// parent (the split is strictly between the parent's bounds), so every
+// coordinate of the child's box is a coordinate of the parent's or a
+// value between two of them. The closed-form box minimum of W·x over
+// the child is therefore at least the parent's, term by term and — as
+// IEEE rounding is monotone — after summation too; the box maximum is
+// at most the parent's; and the scale term of every margin (|W|·max|x|)
+// only shrinks. Hence, as a cell shrinks: a cutout disjoint from it
+// stays disjoint, a cutout or piece with a constraint violated
+// everywhere stays so, and a constraint satisfied everywhere stays
+// satisfied. Dropping what the parent already decided changes no test
+// in any descendant — the tree and the leaf views are exactly those of
+// a full scan at every cell (TestBuildMatchesReferenceTree,
+// TestSharedLeafViewsMatchUnshared).
+type cell struct {
+	ids  []int32
+	off  []int32
+	cuts []*geometry.Polytope
 }
 
 // bnode is the pointer-linked build-time tree, flattened to the
@@ -170,75 +209,111 @@ type bnode struct {
 
 // build recursively decomposes the closed cell [lo,hi]. budget is the
 // maximum number of leaves this subtree may produce (split evenly
-// between children, so the bound is schedule-independent).
-func (b *builder) build(lo, hi geometry.Vector, ids []int32, depth, budget int) *bnode {
+// between children, so the bound is schedule-independent). sc is the
+// calling goroutine's scratch; c and the box may live in it (at depth),
+// so children are filtered and built one after the other.
+func (b *builder) build(lo, hi geometry.Vector, c cell, depth, budget int, sc *scratch) *bnode {
 	prunable := 0
-	for _, id := range ids {
+	for _, id := range c.ids {
 		if prunableCandidate(b.cands[id]) {
 			prunable++
 		}
 	}
+	// Splitting can still shed a candidate only while some kept
+	// candidate has a cutout overlapping the cell (a disjoint cutout can
+	// never contain a descendant cell, and one containing the whole cell
+	// would already have excluded the candidate). Purely a termination
+	// heuristic — it cannot affect soundness, only tree size.
 	if prunable <= b.opts.LeafTarget || depth >= b.opts.MaxDepth ||
-		budget < 2 || !b.refinable(lo, hi, ids) {
-		return &bnode{cands: ids}
+		budget < 2 || len(c.cuts) == 0 {
+		return &bnode{cands: slices.Clone(c.ids)}
 	}
 	// Split the widest dimension at its midpoint (lowest dimension on
 	// ties — deterministic).
-	d := 0
-	for i := 1; i < len(lo); i++ {
-		if hi[i]-lo[i] > hi[d]-lo[d] {
-			d = i
-		}
-	}
+	d := widest(lo, hi)
 	split := (lo[d] + hi[d]) / 2
 	if !(split > lo[d] && split < hi[d]) {
 		// Degenerate cell (zero width or non-finite bounds): stop.
-		return &bnode{cands: ids}
+		return &bnode{cands: slices.Clone(c.ids)}
 	}
-	leftHi := hi.Clone()
-	leftHi[d] = split
-	rightLo := lo.Clone()
-	rightLo[d] = split
-	leftIDs := b.filter(lo, leftHi, ids)
-	rightIDs := b.filter(rightLo, hi, ids)
 	lb := (budget + 1) / 2
-	rb := budget - lb
 	n := &bnode{dim: d, split: split}
 	if depth < b.parDepth {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.left = b.build(lo, leftHi, leftIDs, depth+1, lb)
+			n.left = b.child(lo, hi, c, depth, d, split, lb, true, new(scratch))
 		}()
-		n.right = b.build(rightLo, hi, rightIDs, depth+1, rb)
+		n.right = b.child(lo, hi, c, depth, d, split, budget-lb, false, sc)
 		wg.Wait()
 	} else {
-		n.left = b.build(lo, leftHi, leftIDs, depth+1, lb)
-		n.right = b.build(rightLo, hi, rightIDs, depth+1, rb)
+		n.left = b.child(lo, hi, c, depth, d, split, lb, true, sc)
+		n.right = b.child(lo, hi, c, depth, d, split, budget-lb, false, sc)
 	}
 	return n
 }
 
-// refinable reports whether splitting the cell further can still shed a
-// candidate: some kept candidate must have a cutout that overlaps the
-// cell (a cutout provably disjoint from the cell can never contain a
-// descendant cell, and a cutout containing the whole cell would already
-// have excluded the candidate). Purely a termination heuristic — it
-// cannot affect soundness, only tree size.
-func (b *builder) refinable(lo, hi geometry.Vector, ids []int32) bool {
-	for _, id := range ids {
-		c := b.cands[id]
-		if !prunableCandidate(c) {
-			continue
-		}
-		for _, cut := range c.RR.Cutouts() {
-			if !boxDisjoint(lo, hi, cut) {
-				return true
-			}
+// child filters and builds the left or right half of the cell [lo,hi]
+// split at split in dimension d, its box held at depth+1 in sc.
+func (b *builder) child(lo, hi geometry.Vector, c cell, depth, d int, split float64, budget int, left bool, sc *scratch) *bnode {
+	if left {
+		hi = sc.box(depth+1, hi)
+		hi[d] = split
+	} else {
+		lo = sc.box(depth+1, lo)
+		lo[d] = split
+	}
+	return b.build(lo, hi, b.filter(lo, hi, c, sc, depth+1), depth+1, budget, sc)
+}
+
+// widest returns the widest dimension of the box, the lowest on ties.
+func widest(lo, hi geometry.Vector) int {
+	d := 0
+	for i := 1; i < len(lo); i++ {
+		if hi[i]-lo[i] > hi[d]-lo[d] {
+			d = i
 		}
 	}
-	return false
+	return d
+}
+
+// filter returns the child cell [lo,hi] of parent, at depth in sc: the parent's
+// candidates whose relevance region may intersect the child, in order,
+// each with its cutouts narrowed to those overlapping the child. A
+// candidate is dropped when its cutouts strictly cover the whole closed
+// child — then every point routed there fails the policies'
+// containment test and the candidate cannot influence any pick. A
+// single containing cutout decides immediately; otherwise the child is
+// subdivided up to coverProbeDepth times and every sub-box must end up
+// strictly inside some cutout (union coverage).
+func (b *builder) filter(lo, hi geometry.Vector, parent cell, sc *scratch, depth int) cell {
+	out := &sc.level(depth).cell
+	out.ids = out.ids[:0]
+	out.off = append(out.off[:0], 0)
+	out.cuts = out.cuts[:0]
+	am := absMax(sc.filterAM, lo, hi)
+	sc.filterAM = am
+	for i, id := range parent.ids {
+		mark := len(out.cuts)
+		excluded := false
+		for _, cut := range parent.cuts[parent.off[i]:parent.off[i+1]] {
+			if boxStrictlyInside(lo, hi, am, cut) {
+				excluded = true
+				break
+			}
+			if !boxDisjoint(lo, hi, cut) {
+				out.cuts = append(out.cuts, cut)
+			}
+		}
+		if excluded || sc.halvesCovered(out.cuts[mark:], lo, hi, coverProbeDepth) {
+			out.cuts = out.cuts[:mark]
+			continue
+		}
+		out.ids = append(out.ids, id)
+		out.off = append(out.off, int32(len(out.cuts)))
+	}
+	return *out
 }
 
 // boxDisjoint reports whether the cutout is provably disjoint from the
@@ -260,25 +335,11 @@ func boxDisjoint(lo, hi geometry.Vector, c *geometry.Polytope) bool {
 	return false
 }
 
-// filter keeps the candidates whose relevance region may intersect the
-// closed cell box, preserving order.
-func (b *builder) filter(lo, hi geometry.Vector, ids []int32) []int32 {
-	out := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		c := b.cands[id]
-		if prunableCandidate(c) && cellExcluded(c.RR.Cutouts(), lo, hi) {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
 // coverProbeDepth bounds the recursive union-coverage refinement of
-// cellExcluded: a cell is also excluded when, after up to this many
-// binary subdivisions, every sub-box is strictly inside some single
-// cutout — catching the common case of a cell covered by the union of
-// several dominance cutouts, none of which contains it alone.
+// filter: a cell is also excluded when, after up to this many binary
+// subdivisions, every sub-box is strictly inside some single cutout —
+// catching the common case of a cell covered by the union of several
+// dominance cutouts, none of which contains it alone.
 const coverProbeDepth = 4
 
 // prunableCandidate reports whether the candidate can ever be excluded
@@ -289,64 +350,91 @@ func prunableCandidate(c selection.Candidate) bool {
 	return c.RR != nil && c.RR.NumCutouts() > 0
 }
 
-// cellExcluded reports whether the cutouts strictly cover the whole
-// closed cell box — then every point routed to the cell fails the
-// policies' containment test and the candidate cannot influence any
-// pick there. A single containing cutout decides immediately;
-// otherwise the cell is subdivided up to coverProbeDepth times and
-// every sub-box must end up strictly inside some cutout (union
-// coverage). Cutouts provably disjoint from a sub-box are dropped from
-// its recursion.
-func cellExcluded(cutouts []*geometry.Polytope, lo, hi geometry.Vector) bool {
-	return unionCovers(cutouts, lo, hi, coverProbeDepth)
+// scratch is one build goroutine's reusable state, so a warm build
+// allocates little beyond the tree itself. levels[d] holds the cell at
+// tree depth d and its box coordinate vector; rest, am, lo and hi are
+// the union probe's per-probe-depth overlapping cutouts, absMax factors
+// and half-box bounds; filterAM is filter's absMax slot.
+type scratch struct {
+	levels     []level
+	rest       [coverProbeDepth + 1][]*geometry.Polytope
+	am, lo, hi [coverProbeDepth + 1]geometry.Vector
+	filterAM   geometry.Vector
 }
 
-func unionCovers(cutouts []*geometry.Polytope, lo, hi geometry.Vector, depth int) bool {
-	overlapping := 0
+// level is the scratch of one tree depth: the cell being built there
+// and the box vector that differs from its parent's.
+type level struct {
+	cell cell
+	box  geometry.Vector
+}
+
+// level returns depth's slot, growing the slots as needed.
+func (sc *scratch) level(depth int) *level {
+	for len(sc.levels) <= depth {
+		sc.levels = append(sc.levels, level{})
+	}
+	return &sc.levels[depth]
+}
+
+// box returns depth's box vector holding a copy of src.
+func (sc *scratch) box(depth int, src geometry.Vector) geometry.Vector {
+	l := sc.level(depth)
+	l.box = append(l.box[:0], src...)
+	return l.box
+}
+
+// covers reports whether the cutouts strictly cover the whole closed
+// box: one contains it strictly, or (with depth left) both halves of
+// its widest dimension are covered by the cutouts overlapping it.
+func (sc *scratch) covers(cutouts []*geometry.Polytope, lo, hi geometry.Vector, depth int) bool {
+	am := absMax(sc.am[depth], lo, hi)
+	sc.am[depth] = am
+	rest := sc.rest[depth][:0]
 	for _, c := range cutouts {
-		if boxStrictlyInside(lo, hi, c) {
+		if boxStrictlyInside(lo, hi, am, c) {
 			return true
 		}
-		if !boxDisjoint(lo, hi, c) {
-			overlapping++
-		}
-	}
-	if depth == 0 || overlapping < 2 {
-		// One overlapping cutout cannot cover a box it does not contain.
-		return false
-	}
-	rest := make([]*geometry.Polytope, 0, overlapping)
-	for _, c := range cutouts {
 		if !boxDisjoint(lo, hi, c) {
 			rest = append(rest, c)
 		}
 	}
-	d := 0
-	for i := 1; i < len(lo); i++ {
-		if hi[i]-lo[i] > hi[d]-lo[d] {
-			d = i
-		}
+	sc.rest[depth] = rest
+	return sc.halvesCovered(rest, lo, hi, depth)
+}
+
+// halvesCovered reports whether both halves of the box are covered by
+// rest, the cutouts overlapping it, none of which contains it alone.
+// One overlapping cutout cannot cover a box it does not contain.
+func (sc *scratch) halvesCovered(rest []*geometry.Polytope, lo, hi geometry.Vector, depth int) bool {
+	if depth == 0 || len(rest) < 2 {
+		return false
 	}
+	d := widest(lo, hi)
 	mid := (lo[d] + hi[d]) / 2
 	if !(mid > lo[d] && mid < hi[d]) {
 		return false
 	}
-	leftHi := hi.Clone()
+	// The half boxes of this depth live in the scratch; deeper probes
+	// use their own slots, so neither is clobbered before it is read.
+	leftHi := append(sc.hi[depth][:0], hi...)
 	leftHi[d] = mid
-	if !unionCovers(rest, lo, leftHi, depth-1) {
+	sc.hi[depth] = leftHi
+	if !sc.covers(rest, lo, leftHi, depth-1) {
 		return false
 	}
-	rightLo := lo.Clone()
+	rightLo := append(sc.lo[depth][:0], lo...)
 	rightLo[d] = mid
-	return unionCovers(rest, rightLo, hi, depth-1)
+	sc.lo[depth] = rightLo
+	return sc.covers(rest, rightLo, hi, depth-1)
 }
 
 // boxStrictlyInside reports whether every point of the box satisfies
 // every constraint of c with margin beyond selection.ContainsEps: the
 // box maximum of each W·x (closed form over the box corners) must stay
 // below B by the strict margin plus a relative term covering the
-// summation error.
-func boxStrictlyInside(lo, hi geometry.Vector, c *geometry.Polytope) bool {
+// summation error. am is the box's absMax.
+func boxStrictlyInside(lo, hi, am geometry.Vector, c *geometry.Polytope) bool {
 	for _, h := range c.Constraints() {
 		m := 0.0
 		scale := math.Abs(h.B)
@@ -356,13 +444,24 @@ func boxStrictlyInside(lo, hi geometry.Vector, c *geometry.Polytope) bool {
 			} else {
 				m += w * lo[i]
 			}
-			scale += math.Abs(w) * math.Max(math.Abs(lo[i]), math.Abs(hi[i]))
+			scale += math.Abs(w) * am[i]
 		}
 		if m > h.B-cellStrictEps-cellRelEps*scale {
 			return false
 		}
 	}
 	return true
+}
+
+// absMax writes into dst, per dimension, max(|lo|, |hi|) over the box:
+// the factor of every margin's scale term, computed once per box
+// instead of once per constraint term.
+func absMax(dst, lo, hi geometry.Vector) geometry.Vector {
+	dst = dst[:0]
+	for i := range lo {
+		dst = append(dst, math.Max(math.Abs(lo[i]), math.Abs(hi[i])))
+	}
+	return dst
 }
 
 // flatten appends the subtree rooted at bn to ix.nodes in preorder and
@@ -446,8 +545,9 @@ func (ix *Index) NumNodes() int { return len(ix.nodes) }
 // MemBytes estimates the resident memory of the index structure: the
 // preorder node array, the per-leaf candidate id lists, and the padded
 // box. The serving layer's memory-accounted cache charges each plan
-// set its serialized document size plus this estimate, so eviction
-// decisions track what an indexed entry actually holds live.
+// set its serialized document size plus this estimate plus the bytes
+// of its leaf views (LeafViews), so eviction decisions track what an
+// indexed entry actually holds live.
 func (ix *Index) MemBytes() int64 {
 	// One node: three int32s plus padding (16), one float64 (8), one
 	// slice header (24) — 48 bytes on 64-bit platforms.
@@ -455,169 +555,4 @@ func (ix *Index) MemBytes() int64 {
 	return int64(len(ix.nodes))*nodeBytes +
 		ix.leafCandTotal*4 + // candidate ids (int32)
 		int64(2*ix.dim)*8 // lo/hi box vectors
-}
-
-// LeafCandidates materializes, for every leaf id, the candidate subset
-// to run the selection policies on: the leaf's candidates with their
-// cost functions restricted to the pieces that may contain a point of
-// the leaf cell (pwl.Restrict — dropped pieces are provably outside
-// the cell beyond the evaluation tolerance, and the view falls back to
-// the full scan when no hinted piece contains the point, so policy
-// results through these subsets are byte-identical to the full linear
-// scan). The returned slice is indexed by leaf id (non-leaf slots are
-// nil).
-func (ix *Index) LeafCandidates(cands []selection.Candidate) [][]selection.Candidate {
-	out := make([][]selection.Candidate, len(ix.nodes))
-	ix.walkLeaves(0, ix.lo.Clone(), ix.hi.Clone(), func(leaf int32, lo, hi geometry.Vector) {
-		ids := ix.nodes[leaf].cands
-		sub := make([]selection.Candidate, len(ids))
-		for i, id := range ids {
-			sub[i] = restrictCandidate(cands[id], lo, hi)
-		}
-		out[leaf] = sub
-	})
-	return out
-}
-
-// walkLeaves visits every leaf with its cell box. The boxes are
-// recomputed from the splits, so lo/hi are scratch and mutated in
-// place.
-func (ix *Index) walkLeaves(i int32, lo, hi geometry.Vector, fn func(leaf int32, lo, hi geometry.Vector)) {
-	n := &ix.nodes[i]
-	if n.right == 0 {
-		fn(i, lo, hi)
-		return
-	}
-	d := n.dim
-	save := hi[d]
-	hi[d] = n.split
-	ix.walkLeaves(n.left, lo, hi, fn)
-	hi[d] = save
-	save = lo[d]
-	lo[d] = n.split
-	ix.walkLeaves(n.right, lo, hi, fn)
-	lo[d] = save
-}
-
-// restrictCandidate returns the candidate with each cost component
-// restricted to the pieces that may contain a point of the cell, and
-// its relevance region restricted to the cutouts that can decide a
-// containment test inside the cell.
-func restrictCandidate(c selection.Candidate, lo, hi geometry.Vector) selection.Candidate {
-	if c.RR != nil {
-		cutouts := c.RR.Cutouts()
-		kept := make([]*geometry.Polytope, 0, len(cutouts))
-		for _, cut := range cutouts {
-			if trimmed, decidable := trimCutout(cut, lo, hi); decidable {
-				kept = append(kept, trimmed)
-			}
-		}
-		if len(kept) == 0 {
-			// No cutout can decide containment in this cell, and every
-			// served point is inside the space: the candidate is always
-			// relevant here — selection's nil fast path skips the test
-			// entirely.
-			c.RR = nil
-		} else {
-			// The view drops the per-candidate space test (served points
-			// are validated in-space before selection) and scans only the
-			// kept cutouts with their undecided constraints.
-			c.RR = c.RR.ContainmentView(kept)
-		}
-	}
-	m := c.Cost
-	comps := make([]*pwl.Function, m.NumMetrics())
-	changed := false
-	for k := 0; k < m.NumMetrics(); k++ {
-		f := m.Component(k)
-		pieces := f.Pieces()
-		keep := make([]int, 0, len(pieces))
-		for i := range pieces {
-			if !pieceExcluded(&pieces[i], lo, hi) {
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) < len(pieces) {
-			comps[k] = f.Restrict(keep)
-			changed = true
-		} else {
-			comps[k] = f
-		}
-	}
-	if changed {
-		c.Cost = pwl.NewMulti(comps...)
-	}
-	return c
-}
-
-// trimCutout restricts a cutout to the constraints still undecided in
-// the cell. decidable is false when the cutout provably cannot decide
-// a containment test anywhere in the cell: some constraint's box
-// minimum already exceeds its bound by more than the strict
-// containment tolerance, so no cell point is strictly inside the
-// cutout and dropping it from the scan cannot change any Contains
-// outcome. Constraints *strictly satisfied* everywhere in the cell
-// (box maximum below the bound by more than the tolerance) can never
-// flip a cell point's containment test to false and are dropped from
-// the kept cutout; at least one constraint always survives (a cutout
-// with every constraint strictly satisfied contains the cell, so the
-// candidate was excluded during the build).
-func trimCutout(c *geometry.Polytope, lo, hi geometry.Vector) (trimmed *geometry.Polytope, decidable bool) {
-	hs := c.Constraints()
-	kept := make([]geometry.Halfspace, 0, len(hs))
-	for _, h := range hs {
-		mn, mx := 0.0, 0.0
-		scale := math.Abs(h.B)
-		for i, w := range h.W {
-			if w > 0 {
-				mn += w * lo[i]
-				mx += w * hi[i]
-			} else {
-				mn += w * hi[i]
-				mx += w * lo[i]
-			}
-			scale += math.Abs(w) * math.Max(math.Abs(lo[i]), math.Abs(hi[i]))
-		}
-		margin := cellStrictEps + cellRelEps*scale
-		if mn-h.B > margin {
-			return nil, false // violated everywhere: cutout undecidable
-		}
-		if mx <= h.B-margin {
-			continue // satisfied everywhere: constraint never decides
-		}
-		kept = append(kept, h)
-	}
-	if len(kept) == len(hs) {
-		return c, true
-	}
-	return geometry.NewPolytope(c.Dim(), kept...), true
-}
-
-// pieceExcluded reports whether the piece's region provably excludes
-// the whole cell: some normalized constraint is violated by more than
-// pwl's evaluation tolerance at every point of the box (the box
-// minimum of the normalized W·x stays above B by the strict margin).
-func pieceExcluded(p *pwl.Piece, lo, hi geometry.Vector) bool {
-	for _, h := range p.Region.Constraints() {
-		nrm := h.W.NormInf()
-		if nrm < 1e-300 {
-			continue
-		}
-		s := 1 / nrm
-		mn := 0.0
-		scale := math.Abs(h.B) * s
-		for i, w := range h.W {
-			w *= s
-			if w > 0 {
-				mn += w * lo[i]
-			} else {
-				mn += w * hi[i]
-			}
-			scale += math.Abs(w) * math.Max(math.Abs(lo[i]), math.Abs(hi[i]))
-		}
-		if mn-h.B*s > cellStrictEps+cellRelEps*scale {
-			return true
-		}
-	}
-	return false
 }

@@ -39,7 +39,7 @@ func buildWorkers(t *testing.T) int {
 
 // loadSet optimizes a workload and round-trips it through the store
 // format, returning the serving-side candidate set.
-func loadSet(t *testing.T, cfg workload.Config) (*store.PlanSet, []selection.Candidate, *geometry.Solver) {
+func loadSet(t testing.TB, cfg workload.Config) (*store.PlanSet, []selection.Candidate, *geometry.Solver) {
 	t.Helper()
 	schema, err := workload.Generate(cfg)
 	if err != nil {
@@ -241,5 +241,88 @@ func TestIndexPrunes(t *testing.T) {
 	}
 	if avg := ix.AvgLeafCandidates(); avg >= float64(len(cands)) {
 		t.Errorf("avg %.1f candidates per leaf, full set has %d — index prunes nothing", avg, len(cands))
+	}
+}
+
+// hotStar2p is the 2-parameter star catalog the serving benchmark's
+// hot-pick population draws (seed 8): 12 exact plans over 1,636 leaves.
+var hotStar2p = workload.Config{Tables: 4, Params: 2, Shape: workload.Star, Seed: 8}
+
+// perLeafCopyBytes is what materializing hotStar2p's leaf views cost
+// when every leaf restricted every candidate from scratch into its own
+// copies (measured on that implementation, amd64).
+const perLeafCopyBytes = 23_517_736
+
+// TestLeafCandidatesAllocs gates the allocation volume of the shared,
+// narrowing view construction: at most a fifth of per-leaf copying.
+func TestLeafCandidatesAllocs(t *testing.T) {
+	ps, cands, solver := loadSet(t, hotStar2p)
+	ix, err := index.Build(solver, ps.Space, cands, index.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	views := ix.LeafCandidates(cands)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(views)
+	if got := after.TotalAlloc - before.TotalAlloc; got > perLeafCopyBytes/5 {
+		t.Errorf("LeafCandidates allocated %d bytes, budget %d (a fifth of per-leaf copying)", got, perLeafCopyBytes/5)
+	}
+}
+
+// TestLeafViewBytesTrackHeap: the byte estimate LeafViews reports — and
+// the serving cache charges — is within 2× of the heap the views
+// actually retain.
+func TestLeafViewBytesTrackHeap(t *testing.T) {
+	ps, cands, solver := loadSet(t, hotStar2p)
+	ix, err := index.Build(solver, ps.Space, cands, index.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections settle the heap: the second frees what the first
+	// moved to sync.Pool victim caches, which would otherwise vanish
+	// between the readings and read as negative growth.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	views, est := ix.LeafViews(cands)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// Everything but the views must stay live across the readings.
+	runtime.KeepAlive(views)
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(ps)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("estimate %d bytes, retained heap growth %d bytes", est, growth)
+	if est <= 0 || growth > 2*est || 2*growth < est {
+		t.Errorf("view byte estimate %d not within 2x of the retained heap growth %d", est, growth)
+	}
+}
+
+// BenchmarkIndexBuild builds hotStar2p's pick index.
+func BenchmarkIndexBuild(b *testing.B) {
+	ps, cands, solver := loadSet(b, hotStar2p)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := index.Build(solver, ps.Space, cands, index.Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLeafCandidates materializes hotStar2p's leaf views.
+func BenchmarkLeafCandidates(b *testing.B) {
+	ps, cands, solver := loadSet(b, hotStar2p)
+	ix, err := index.Build(solver, ps.Space, cands, index.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		ix.LeafCandidates(cands)
 	}
 }

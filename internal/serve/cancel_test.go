@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mpq/internal/core"
 	"mpq/internal/geometry"
 	"mpq/internal/workload"
 )
@@ -172,6 +173,52 @@ func TestPrepareDeadlineMidOptimize(t *testing.T) {
 	}
 	if _, err := s.Pick(context.Background(), PickRequest{Key: prep.Key, Point: geometry.Vector{0.5, 0.5}}); err != nil {
 		t.Fatalf("Pick after recovery: %v", err)
+	}
+}
+
+// TestPrepareDeadlineDuringSplitJobs is TestPrepareDeadlineMidOptimize
+// with every mask split into a parallel job, two optimizer workers and
+// donated pool workers: the split jobs' order-preserving reductions
+// must observe the deadline between candidates too, not only between
+// chunks, so the Prepare returns promptly; and the abandoned run must
+// leave nothing behind.
+func TestPrepareDeadlineDuringSplitJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second optimization")
+	}
+	opts := Options{Workers: 2, DonateWorkers: true}
+	opts.Optimizer = core.DefaultOptions()
+	opts.Optimizer.Workers = 2
+	opts.Optimizer.SplitCandidates = 1 // every mask becomes a split job
+	s := New(opts)
+	defer s.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := s.Prepare(ctx, slowTemplate())
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Skip("optimization finished before the deadline on this machine")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("split-job Prepare = %v, want context.DeadlineExceeded", err)
+	}
+	t.Logf("cancelled after %v", elapsed)
+	if elapsed > time.Second {
+		t.Errorf("cancelled split-job Prepare took %v — reductions not observing the deadline", elapsed)
+	}
+	if st := s.Stats(); st.CachedPlanSets != 0 || st.DeadlineExpiries != 1 {
+		t.Errorf("after the abandoned run: %d cached plan sets, %d deadline expiries; want 0 and 1",
+			st.CachedPlanSets, st.DeadlineExpiries)
+	}
+	// The server is unharmed: a template still prepares through split
+	// jobs.
+	if _, err := s.Prepare(context.Background(), testTemplate(21)); err != nil {
+		t.Fatalf("Prepare after the abandoned split-job run: %v", err)
+	}
+	if st := s.Stats(); st.SplitJobs == 0 {
+		t.Error("no split jobs recorded despite SplitCandidates=1")
 	}
 }
 

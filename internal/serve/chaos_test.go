@@ -110,7 +110,10 @@ func TestFleetChaos(t *testing.T) {
 		BreakerCooldown:  20 * time.Millisecond,
 		Seed:             seed,
 	}
-	s1 := New(Options{Workers: 2, Index: true, Shared: shared, CacheBytes: 10 << 10,
+	// Cache footprints (document + index + leaf views) are ~15.5KB,
+	// ~2.8KB and ~2.8KB for the three templates: a 20KB budget holds
+	// any two of them, never all three.
+	s1 := New(Options{Workers: 2, Index: true, Shared: shared, CacheBytes: 20 << 10,
 		Peers: fleet.NewPeerClientOptions([]string{f0.ts.URL}, peerOpts)})
 	defer s1.Close()
 	f1 := newFlakyPlanSetServer(s1)
@@ -118,7 +121,7 @@ func TestFleetChaos(t *testing.T) {
 
 	// s2's cache holds two of the three documents, so picks keep
 	// evicting and reloading — through peers that keep dying.
-	s2 := New(Options{Workers: 2, Index: true, CacheBytes: 10 << 10,
+	s2 := New(Options{Workers: 2, Index: true, CacheBytes: 20 << 10,
 		Peers: fleet.NewPeerClientOptions([]string{f0.ts.URL, f1.ts.URL}, peerOpts)})
 	defer s2.Close()
 

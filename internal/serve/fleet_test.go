@@ -180,6 +180,32 @@ func TestFleetPickEquivalence(t *testing.T) {
 	}
 }
 
+// TestFootprintChargesLeafViews: an indexed entry's cache charge
+// covers its leaf views, not just the document and the tree — on a
+// 2-parameter set the views are the largest of the three.
+func TestFootprintChargesLeafViews(t *testing.T) {
+	s := New(Options{Workers: 1, Index: true, CacheBytes: 64 << 20})
+	defer s.Close()
+	prep, err := s.Prepare(context.Background(), Template{Workload: workload.Config{
+		Tables: 4, Params: 2, Shape: workload.Star, Seed: 8,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := s.cache.Get(prep.Key, false)
+	if !ok {
+		t.Fatal("prepared entry not resident")
+	}
+	e := v.(*entry)
+	if e.idx == nil || e.viewBytes <= int64(len(e.doc)) {
+		t.Fatalf("leaf views hold %d bytes for a %d-byte document", e.viewBytes, len(e.doc))
+	}
+	want := int64(len(e.doc)) + e.idx.MemBytes() + e.viewBytes
+	if got := s.Stats().Cache.ResidentBytes; got != want {
+		t.Errorf("resident bytes %d, want document %d + index %d + views %d", got, len(e.doc), e.idx.MemBytes(), e.viewBytes)
+	}
+}
+
 // TestServeStatsAccountingBalance is the cache-accounting regression
 // test: with a budget small enough to force evictions and a shared
 // store to reload from, admitted − evicted must equal resident (bytes
@@ -205,8 +231,9 @@ func TestServeStatsAccountingBalance(t *testing.T) {
 		}
 	}
 
-	// A budget of one small document (the chain-4t docs are ~4.5KB
-	// each): every new template evicts the previous one.
+	// A budget below any two cache footprints (document + index + leaf
+	// views: ~15.5KB, ~2.8KB and ~3.6KB for seeds 21–23): every new
+	// template evicts the previous one.
 	s := New(Options{Workers: 1, Index: true, Shared: shared, CacheBytes: 6 << 10})
 	defer s.Close()
 	var keys []string

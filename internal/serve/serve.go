@@ -486,13 +486,14 @@ type refineState struct {
 // deserializing, keeping the historical memory profile. With the pick
 // index enabled, idx is the point-location index and leafCands the
 // per-leaf candidate subsets (piece-restricted cost views) Picks scan
-// instead of candidates.
+// instead of candidates; viewBytes is what those views hold.
 type entry struct {
 	set        *store.PlanSet
 	doc        []byte
 	candidates []selection.Candidate
 	idx        *index.Index
 	leafCands  [][]selection.Candidate
+	viewBytes  int64
 	// telLo/telHi is the parameter-space bounding box pick-point
 	// telemetry bins against, computed once at entry construction (only
 	// when telemetry is enabled); nil when the space is unbounded.
@@ -500,13 +501,14 @@ type entry struct {
 }
 
 // footprint is the bytes the memory-accounted cache charges for the
-// entry: the serialized document plus the pick index structure. The
-// deserialized plan set and the leaf views share most of their memory
-// with what these two measure.
+// entry: the serialized document (standing in for the deserialized
+// plan set), the pick index structure, and the leaf views — the
+// restricted cutouts, cost functions and per-leaf subsets, shared
+// between cells, which on 2-parameter sets outweigh the document.
 func (e *entry) footprint() int64 {
 	b := int64(len(e.doc))
 	if e.idx != nil {
-		b += e.idx.MemBytes()
+		b += e.idx.MemBytes() + e.viewBytes
 	}
 	return b
 }
@@ -1550,7 +1552,7 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 			}
 		}
 		if e.idx != nil {
-			e.leafCands = e.idx.LeafCandidates(cands)
+			e.leafCands, e.viewBytes = e.idx.LeafViews(cands)
 		}
 	}
 	if s.opts.Telemetry != nil {

@@ -89,6 +89,10 @@ func regionOptionsToJS(o region.Options) *regionOptionsJS {
 	}
 }
 
+// maxRelevancePoints bounds the relevance-point count a document may
+// configure; the optimizer's default is 16.
+const maxRelevancePoints = 1 << 12
+
 func regionOptionsFromJS(j *regionOptionsJS) (region.Options, error) {
 	if j == nil {
 		return region.Options{}, fmt.Errorf("store: document without region_options")
@@ -96,6 +100,12 @@ func regionOptionsFromJS(j *regionOptionsJS) (region.Options, error) {
 	strategy, err := region.ParseStrategy(j.Strategy)
 	if err != nil {
 		return region.Options{}, fmt.Errorf("store: region options: %w", err)
+	}
+	if j.RelevancePoints > maxRelevancePoints {
+		// Every loaded region seeds this many sample points (up to a
+		// 64-per-dimension grid): an unbounded count lets one small
+		// document exhaust memory.
+		return region.Options{}, fmt.Errorf("store: region options: %d relevance points, at most %d", j.RelevancePoints, maxRelevancePoints)
 	}
 	return region.Options{
 		Strategy:                  strategy,

@@ -72,22 +72,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBadDocuments: each malformed document is rejected by
-// the check it is about — the error names the cause. Load reads only
-// the versions Save writes (3 exact, 4 ε), so otherwise-valid version
-// 1 and 2 documents and a v3 document without the region-options
-// stanza are rejected too.
-func TestLoadRejectsBadDocuments(t *testing.T) {
+// badDocuments returns a valid minimal v3 document and malformed
+// variants of it, each with the error text its rejection must carry.
+func badDocuments() (valid string, cases []badDocument) {
 	const opts = `"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true}`
 	const unit = `"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]}`
 	const scan = `{"tree":{"op":"s","table":0},"always_relevant":true,"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}`
-	valid := `{"version":3,"metrics":["t"],` + unit + `,` + opts + `,"plans":[` + scan + `]}`
-	if _, err := Load(strings.NewReader(valid)); err != nil {
-		t.Fatalf("valid v3 skeleton rejected: %v", err)
-	}
-	cases := []struct {
-		name, doc, wantErr string
-	}{
+	valid = `{"version":3,"metrics":["t"],` + unit + `,` + opts + `,"plans":[` + scan + `]}`
+	return valid, []badDocument{
 		{"bad json", `{`, "decoding"},
 		{"wrong version", strings.Replace(valid, `"version":3`, `"version":99`, 1), "unsupported format version 99"},
 		// The documents version 1 and 2 writers produced (no options
@@ -103,6 +95,22 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 			"constraint dimension 1, want 2"},
 		{"scan with kids", strings.Replace(valid, `"table":0}`, `"table":0,"left":{"op":"s","table":1}}`, 1), "scan node with children"},
 		{"metric count", strings.Replace(valid, `"metrics":["t"]`, `"metrics":["t","f"]`, 1), "cost with 1 components, want 2"},
+		{"relevance points", strings.Replace(valid, `"relevance_points":16`, `"relevance_points":1000000000`, 1), "1000000000 relevance points, at most 4096"},
+	}
+}
+
+// badDocument is one malformed document and its expected error text.
+type badDocument struct{ name, doc, wantErr string }
+
+// TestLoadRejectsBadDocuments: each malformed document is rejected by
+// the check it is about — the error names the cause. Load reads only
+// the versions Save writes (3 exact, 4 ε), so otherwise-valid version
+// 1 and 2 documents and a v3 document without the region-options
+// stanza are rejected too.
+func TestLoadRejectsBadDocuments(t *testing.T) {
+	valid, cases := badDocuments()
+	if _, err := Load(strings.NewReader(valid)); err != nil {
+		t.Fatalf("valid v3 skeleton rejected: %v", err)
 	}
 	for _, tc := range cases {
 		_, err := Load(strings.NewReader(tc.doc))
